@@ -626,6 +626,75 @@ std::size_t cluster::outstanding(int vh) const {
     return g.inflight - g.arrived.size();
 }
 
+// --- sched::engine_set --------------------------------------------------------
+
+std::pair<int, int> cluster::engine_at(std::size_t e) const {
+    const std::size_t origin_ves = origin_->num_nodes() - 1;
+    if (e < origin_ves) {
+        return {0, static_cast<int>(e) + 1};
+    }
+    const auto r = static_cast<int>(e - origin_ves);
+    return {1 + r / opt_.ves_per_node, 1 + r % opt_.ves_per_node};
+}
+
+std::size_t cluster::engine_count() const {
+    return origin_->num_nodes() - 1 +
+           static_cast<std::size_t>((opt_.nodes - 1) * opt_.ves_per_node);
+}
+
+node_t cluster::engine_id(std::size_t e) const {
+    const auto [vh, ve] = engine_at(e);
+    return global_id(vh, ve);
+}
+
+int cluster::engine_vh(std::size_t e) const {
+    return engine_at(e).first;
+}
+
+bool cluster::engine_send(std::size_t e, const void* msg, std::size_t len,
+                          proto::msg_kind kind, std::uint64_t queued_ns,
+                          ham::offload::future<void>& out) {
+    const auto [vh, ve] = engine_at(e);
+    if (vh == 0) {
+        return origin_engines().engine_send(e, msg, len, kind, queued_ns, out);
+    }
+    gateway& g = gw(vh);
+    if (g.link.in_flight(0) >= g.link.profile().window) {
+        return false; // route_frame would block on the link's window
+    }
+    const std::uint64_t ticket = route_frame(g, ve, kind, msg, len);
+    out = ham::offload::future<void>::remote(*this, static_cast<node_t>(vh),
+                                             ticket, 0);
+    return true;
+}
+
+target_health cluster::engine_health(std::size_t e) {
+    const auto [vh, ve] = engine_at(e);
+    return engine_health(vh, ve);
+}
+
+std::string cluster::engine_failure(std::size_t e) {
+    const auto [vh, ve] = engine_at(e);
+    if (vh == 0) {
+        return origin_engines().engine_failure(e);
+    }
+    const gateway& g = gw(vh);
+    return g.rt != nullptr ? g.rt->failure_reason(ve)
+                           : "gateway of VH " + std::to_string(vh) + " exited";
+}
+
+std::uint32_t cluster::engine_probation(std::size_t e) {
+    const auto [vh, ve] = engine_at(e);
+    return engine_probation(vh, ve);
+}
+
+void cluster::engine_poll_recovery(std::size_t e) {
+    // A remote gateway drives its own VEs' recovery.
+    if (engine_at(e).first == 0) {
+        origin_engines().engine_poll_recovery(e);
+    }
+}
+
 void cluster::publish_node_health(int vh) {
     if (vh == 0) {
         // Registered lazily; node 0 health mirrors the origin runtime.

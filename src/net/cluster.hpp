@@ -24,6 +24,10 @@
 // serialised at the origin with a global id dereferences correctly on the
 // remote VE, and aurora::fault can kill a specific remote VE
 // deterministically.
+//
+// The cluster is also an aurora::sched engine set: sched::executor(cluster)
+// schedules over every (VH, VE) pair of it (net::cluster_executor wraps that
+// with (vh, ve) addressing).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ham/functor.hpp"
@@ -43,6 +48,7 @@
 #include "offload/protocol.hpp"
 #include "offload/runtime.hpp"
 #include "offload/types.hpp"
+#include "sched/engines.hpp"
 #include "sim/platform.hpp"
 
 namespace aurora::net {
@@ -71,7 +77,8 @@ struct node_status {
     std::size_t link_depth = 0; ///< deepest in-flight direction (0 for node 0)
 };
 
-class cluster : public ham::offload::detail::result_source {
+class cluster : public ham::offload::detail::result_source,
+                public sched::engine_set {
 public:
     /// Construct on the origin VH process, inside offload::run() (the origin
     /// runtime must be installed). Spawns one gateway process per remote
@@ -181,6 +188,22 @@ public:
     /// Origin-side tickets still waiting for a routed result from `vh`.
     [[nodiscard]] std::size_t outstanding(int vh) const;
 
+    // --- sched::engine_set ----------------------------------------------------
+    // Engine order is ascending global id: the origin's VEs, then VH 1's, ...
+    // A remote send never blocks: a full link refuses it instead.
+    [[nodiscard]] std::size_t engine_count() const override;
+    [[nodiscard]] ham::offload::node_t engine_id(std::size_t e) const override;
+    [[nodiscard]] int engine_vh(std::size_t e) const override;
+    bool engine_send(std::size_t e, const void* msg, std::size_t len,
+                     ham::offload::protocol::msg_kind kind,
+                     std::uint64_t queued_ns,
+                     ham::offload::future<void>& out) override;
+    [[nodiscard]] ham::offload::target_health
+    engine_health(std::size_t e) override;
+    [[nodiscard]] std::string engine_failure(std::size_t e) override;
+    [[nodiscard]] std::uint32_t engine_probation(std::size_t e) override;
+    void engine_poll_recovery(std::size_t e) override;
+
     // --- detail::result_source (routed completions) ---------------------------
     bool try_collect(ham::offload::node_t node, std::uint64_t ticket,
                      std::uint32_t slot, std::vector<std::byte>& out) override;
@@ -220,6 +243,12 @@ private:
                       const std::vector<std::byte>& payload);
 
     ham::offload::runtime& origin();
+    /// The origin's VEs as engines 0..V0-1 (the same indices here).
+    [[nodiscard]] sched::runtime_engines origin_engines() {
+        return sched::runtime_engines(origin());
+    }
+    /// (vh, ve) of engine `e`.
+    [[nodiscard]] std::pair<int, int> engine_at(std::size_t e) const;
     [[nodiscard]] int local_ve(int vh, ham::offload::node_t gid) const;
     gateway& gw(int vh);
     const gateway& gw(int vh) const;

@@ -1,6 +1,8 @@
 #include "sched/executor.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "ham/msg.hpp"
@@ -27,8 +29,41 @@ namespace {
 
 } // namespace
 
-executor::executor(executor_config cfg)
-    : cfg_(cfg), rt_(detail::rt()), num_targets_(rt_.num_nodes() - 1) {
+bool runtime_engines::engine_send(std::size_t e, const void* msg,
+                                  std::size_t len,
+                                  ham::offload::protocol::msg_kind kind,
+                                  std::uint64_t queued_ns,
+                                  ham::offload::future<void>& out) {
+    const ham::offload::node_t node = engine_id(e);
+    ham::offload::runtime::sent_message sent;
+    if (!rt_.try_send_message(node, msg, len, sent, kind)) {
+        return false;
+    }
+    if (aurora::obs::enabled()) {
+        // The submit touchpoint carries the ticket the runtime just assigned,
+        // back-dated to when the message's earliest task entered its ready
+        // queue: queue_wait = submit..post.
+        aurora::obs::emit(
+            aurora::obs::stage::submit,
+            static_cast<std::uint16_t>(rt_.options().node_base + int(node)),
+            sent.ticket, static_cast<std::uint16_t>(sent.slot),
+            rt_.target_epoch(node), queued_ns);
+    }
+    out = ham::offload::future<void>::remote(rt_, node, sent.ticket, sent.slot);
+    return true;
+}
+
+executor::executor(executor_config cfg) : executor(nullptr, cfg) {}
+
+executor::executor(engine_set& engines, executor_config cfg)
+    : executor(&engines, cfg) {}
+
+executor::executor(engine_set* engines, executor_config cfg)
+    : cfg_(cfg), rt_(detail::rt()),
+      own_engines_(engines == nullptr ? std::make_unique<runtime_engines>(rt_)
+                                      : nullptr),
+      eng_(engines != nullptr ? *engines : *own_engines_),
+      num_targets_(eng_.engine_count()) {
     AURORA_CHECK_MSG(num_targets_ > 0, "executor needs at least one target");
     AURORA_CHECK_MSG(cfg_.window > 0, "executor window must be positive");
     AURORA_CHECK_MSG(cfg_.max_queued > 0, "max_queued must be positive");
@@ -38,11 +73,28 @@ executor::executor(executor_config cfg)
     }
     targets_.resize(num_targets_);
     stats_.per_target.resize(num_targets_);
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        ids_.push_back(eng_.engine_id(t));
+        vh_.push_back(eng_.engine_vh(t));
+        AURORA_CHECK_MSG(ids_[t] > 0 && (t == 0 || ids_[t] > ids_[t - 1]),
+                         "engine ids must be positive and ascending");
+        num_vhs_ = std::max(num_vhs_, vh_[t] + 1);
+    }
+    index_.assign(static_cast<std::size_t>(ids_.back()) + 1, num_targets_);
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        index_[static_cast<std::size_t>(ids_[t])] = t;
+    }
 
     namespace m = aurora::metrics;
     auto& reg = m::registry::global();
     met_.steals = &reg.counter_for("aurora_sched_steals_total", "",
                                    "work-stealing transactions");
+    met_.stolen_local = &reg.counter_for(
+        "aurora_sched_stolen_tasks_total", m::labels({{"scope", "local"}}),
+        "tasks moved by steals, within one VH node");
+    met_.stolen_remote = &reg.counter_for(
+        "aurora_sched_stolen_tasks_total", m::labels({{"scope", "remote"}}),
+        "tasks moved by steals, across an inter-node link");
     met_.failovers = &reg.counter_for("aurora_sched_failovers_total", "",
                                       "target-failure evacuations/reroutes");
     met_.backpressure_stalls =
@@ -104,9 +156,11 @@ task_id executor::submit_serialized(std::vector<std::byte> msg,
     }
     const auto id = static_cast<task_id>(tasks_.size());
     AURORA_CHECK_MSG(id != invalid_task, "executor full");
-    AURORA_CHECK_MSG(opts.affinity == any_node ||
-                         (opts.affinity >= 0 &&
-                          static_cast<std::size_t>(opts.affinity) <= num_targets_),
+    AURORA_CHECK_MSG(opts.affinity == any_node || opts.affinity == 0 ||
+                         vh_marker(opts.affinity) >= 0 ||
+                         (opts.affinity > 0 &&
+                          static_cast<std::size_t>(opts.affinity) < index_.size() &&
+                          index_of(opts.affinity) < num_targets_),
                      "task affinity " << opts.affinity << " is not a node (have "
                                       << num_targets_ << " targets)");
 
@@ -123,6 +177,8 @@ task_id executor::submit_serialized(std::vector<std::byte> msg,
     } else if (cfg_.policy == placement_policy::round_robin ||
                opts.affinity == any_node) {
         rec.home = node_of(rr_next_++ % num_targets_);
+    } else if (const int vh = vh_marker(opts.affinity); vh >= 0) {
+        rec.home = node_of(least_loaded_on(vh));
     } else {
         rec.home = opts.affinity;
     }
@@ -141,8 +197,8 @@ task_id executor::submit_serialized(std::vector<std::byte> msg,
             // reaches zero) or execute despite a failed dependency.
             if (dep.state == task_state::failed && !rec.dep_failed) {
                 rec.dep_failed = true;
-                rec.error = "dependency task " + std::to_string(d) +
-                            " failed: " + dep.error;
+                errors_[id] = "dependency task " + std::to_string(d) +
+                              " failed: " + errors_[d];
             }
             rec.dep_expired =
                 rec.dep_expired || dep.state == task_state::expired;
@@ -200,7 +256,7 @@ void executor::wait_all() {
         bool inflight = false;
         for (std::size_t t = 0; t < num_targets_; ++t) {
             inflight = inflight || !targets_[t].inflight.empty() ||
-                       rt_.health(node_of(t)) ==
+                       eng_.engine_health(t) ==
                            ham::offload::target_health::recovering;
         }
         AURORA_CHECK_MSG(inflight,
@@ -212,6 +268,48 @@ void executor::wait_all() {
         failed_ = false; // report once; the executor stays usable for queries
         throw ham::offload::offload_error(first_error_);
     }
+}
+
+int executor::vh_marker(node_t affinity) const {
+    if (affinity < 0 || affinity == any_node) {
+        return -1;
+    }
+    const node_t vh = any_node - 1 - affinity;
+    return vh < num_vhs_ ? vh : -1;
+}
+
+std::size_t executor::least_loaded_on(int vh) const {
+    std::size_t best = num_targets_;
+    std::size_t best_load = 0;
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        if (vh_[t] != vh) {
+            continue;
+        }
+        std::size_t load = targets_[t].ready.size();
+        for (const flight& f : targets_[t].inflight) {
+            load += f.tasks.size();
+        }
+        if (best == num_targets_ || load < best_load) {
+            best = t;
+            best_load = load;
+        }
+    }
+    AURORA_CHECK_MSG(best < num_targets_, "no engine on VH " << vh);
+    return best;
+}
+
+const std::vector<completion_record>& executor::trace() const {
+    trace_.clear();
+    for (const detail::task_rec& rec : tasks_) {
+        if (rec.state == task_state::done) {
+            trace_.push_back(rec.record);
+        }
+    }
+    std::sort(trace_.begin(), trace_.end(),
+              [](const completion_record& a, const completion_record& b) {
+                  return a.done_seq < b.done_seq;
+              });
+    return trace_;
 }
 
 task_state executor::state_of(task_id id) const {
@@ -261,25 +359,22 @@ void executor::release_ready(task_id id) {
         // A prior failure poisons everything not yet dispatched (fail_fast) or
         // just this dependency chain: settle the task as failed and cascade to
         // its successors so wait_all terminates. A dep-cascade cause is
-        // already recorded on rec.error; finish_task keeps it.
+        // already recorded in errors_; finish_task keeps it.
         finish_task(id, task_state::failed, rec.home,
                     "skipped after earlier failure: " + first_error_);
         return;
     }
-    if (rec.home != 0 &&
-        target_terminal(static_cast<std::size_t>(rec.home) - 1)) {
+    if (rec.home != 0 && target_terminal(index_of(rec.home))) {
         // The home target died for good before this task became ready. (A
         // merely recovering home keeps its queue — the task waits for the
         // respawn and dispatches during probation.)
         if (rec.opts.pinned) {
-            std::string why = "pinned task " + std::to_string(id) +
-                              " lost its target: " +
-                              rt_.failure_reason(rec.home);
+            std::string why = lost_target(id, index_of(rec.home));
             note_failure(why);
             finish_task(id, task_state::failed, rec.home, std::move(why));
             return;
         }
-        const std::size_t h = next_healthy();
+        const std::size_t h = next_healthy(index_of(rec.home));
         if (h == num_targets_) {
             note_failure("no healthy offload targets left");
             finish_task(id, task_state::failed, rec.home,
@@ -295,7 +390,7 @@ void executor::release_ready(task_id id) {
     if (rec.home == 0) {
         host_ready_.push_back(id);
     } else {
-        targets_[static_cast<std::size_t>(rec.home) - 1].ready.push_back(id);
+        targets_[index_of(rec.home)].ready.push_back(id);
     }
 }
 
@@ -306,22 +401,20 @@ void executor::finish_task(task_id id, task_state outcome, node_t executed_on,
     rec.record.executed_on = executed_on;
     rec.record.done_seq = event_seq_++;
     rec.record.done_time_ns = static_cast<std::uint64_t>(aurora::sim::now());
-    rec.msg = {}; // the message was delivered (or never will be); drop it
+    // Delivered (or never will be): free it. (`= {}` would keep the capacity.)
+    std::vector<std::byte>().swap(rec.msg);
     ++finished_count_;
-    if (outcome == task_state::done) {
-        trace_.push_back(rec.record);
-    } else if (outcome == task_state::failed) {
+    if (outcome == task_state::failed) {
         ++stats_.tasks_failed;
-        if (rec.error.empty()) { // keep a dep-cascade cause recorded earlier
-            rec.error = std::move(error);
-        }
+        // try_emplace keeps a dep-cascade cause recorded earlier.
+        errors_.try_emplace(id, std::move(error));
     }
     for (const task_id s : rec.succs) {
         detail::task_rec& succ = tasks_[s];
         if (outcome == task_state::failed && !succ.dep_failed) {
             succ.dep_failed = true;
-            succ.error = "dependency task " + std::to_string(id) +
-                         " failed: " + rec.error;
+            errors_[s] = "dependency task " + std::to_string(id) +
+                         " failed: " + errors_[id];
         }
         succ.dep_expired = succ.dep_expired || outcome == task_state::expired;
         AURORA_CHECK(succ.unmet > 0);
@@ -362,6 +455,23 @@ bool executor::drain_once() {
             static_cast<std::int64_t>(targets_[t].ready.size()));
         met_.inflight[t]->set(
             static_cast<std::int64_t>(targets_[t].inflight.size()));
+    }
+
+    // Only the ambient runtime's polls cost virtual time; results from other
+    // VHs arrive by themselves. An idle pass that polled no local engine but
+    // waits on a remote one moves the clock itself, or wait_all would spin.
+    if (!progress && num_vhs_ > 1) {
+        bool local = false;
+        bool remote = false;
+        for (std::size_t t = 0; t < num_targets_; ++t) {
+            const bool busy = !targets_[t].inflight.empty() ||
+                              eng_.engine_health(t) ==
+                                  ham::offload::target_health::recovering;
+            (vh_[t] == 0 ? local : remote) |= busy;
+        }
+        if (remote && !local) {
+            aurora::sim::advance(rt_.costs().local_poll_ns);
+        }
     }
     return progress;
 }
@@ -452,7 +562,6 @@ void executor::retire_flight(std::size_t t, flight& f) {
 
 bool executor::dispatch_target(std::size_t t) {
     target_queues& tq = targets_[t];
-    const node_t node = node_of(t);
     if (target_terminal(t)) {
         // A dead target dispatches nothing; anything still queued here moves
         // to the survivors (its in-flight work re-routes via retire_flight).
@@ -460,11 +569,11 @@ bool executor::dispatch_target(std::size_t t) {
         evacuate(t);
         return moved;
     }
-    if (rt_.health(node) == ham::offload::target_health::recovering) {
+    if (eng_.engine_health(t) == ham::offload::target_health::recovering) {
         // Drive the heal state machine (the probe advances virtual time
         // towards the re-attach deadline and performs the respawn + replay
         // when it arrives); queued tasks and parked flights wait it out.
-        static_cast<void>(rt_.slots_available(node));
+        eng_.engine_poll_recovery(t);
         return false;
     }
     bool progress = false;
@@ -520,16 +629,25 @@ bool executor::dispatch_target(std::size_t t) {
         // Send: a lone task goes out as a plain user message, two or more as
         // one batch message (a second construction cost pays for the wrapper).
         AURORA_TRACE_SPAN("sched", "dispatch");
-        ham::offload::runtime::sent_message sent;
+        std::uint64_t ready_ns = 0;
+        if (aurora::obs::enabled()) {
+            ready_ns = tasks_[group.front()].ready_at_ns;
+            for (const task_id id : group) {
+                ready_ns = std::min(ready_ns, tasks_[id].ready_at_ns);
+            }
+        }
+        flight f;
         bool sent_ok = false;
         if (group.size() == 1) {
             const std::vector<std::byte>& m = tasks_[group.front()].msg;
-            sent_ok = rt_.try_send_message(node, m.data(), m.size(), sent);
+            sent_ok = eng_.engine_send(t, m.data(), m.size(),
+                                       ham::offload::protocol::msg_kind::user,
+                                       ready_ns, f.fut);
         } else {
             aurora::sim::advance(rt_.costs().ham_msg_construct_ns);
-            sent_ok = rt_.try_send_message(
-                node, batch.finish(), batch.size(), sent,
-                ham::offload::protocol::msg_kind::batch);
+            sent_ok = eng_.engine_send(t, batch.finish(), batch.size(),
+                                       ham::offload::protocol::msg_kind::batch,
+                                       ready_ns, f.fut);
         }
         if (!sent_ok) {
             // The round-robin slot is busy (e.g. host-task put/get traffic).
@@ -551,24 +669,7 @@ bool executor::dispatch_target(std::size_t t) {
             tasks_[id].state = task_state::inflight;
             tasks_[id].record.start_seq = event_seq_++;
         }
-        if (aurora::obs::enabled()) {
-            // The submit touchpoint carries the ticket the runtime just
-            // assigned, back-dated to when the group's earliest task entered
-            // its ready queue: queue_wait = submit..post.
-            std::uint64_t ready_ns = tasks_[group.front()].ready_at_ns;
-            for (const task_id id : group) {
-                ready_ns = std::min(ready_ns, tasks_[id].ready_at_ns);
-            }
-            aurora::obs::emit(
-                aurora::obs::stage::submit,
-                static_cast<std::uint16_t>(rt_.options().node_base + int(node)),
-                sent.ticket, static_cast<std::uint16_t>(sent.slot),
-                rt_.target_epoch(node), ready_ns);
-        }
 
-        flight f;
-        f.fut = ham::offload::future<void>::remote(rt_, node, sent.ticket,
-                                                   sent.slot);
         f.tasks = std::move(group);
         f.completed = std::make_shared<bool>(false);
         f.fut.on_ready([done = f.completed] { *done = true; });
@@ -579,32 +680,50 @@ bool executor::dispatch_target(std::size_t t) {
 }
 
 bool executor::steal_into(std::size_t thief) {
-    // Victim: the target with the most stealable (unpinned) ready tasks;
-    // ties break towards the lowest node id for determinism.
-    std::size_t victim = num_targets_;
-    std::size_t best = 0;
-    for (std::size_t t = 0; t < num_targets_; ++t) {
-        if (t == thief) {
-            continue;
+    // The engine with the most stealable (unpinned) ready tasks above
+    // `floor`, on the thief's own VH or on the others; ties break towards
+    // the lowest id for determinism.
+    const auto deepest = [&](bool own_vh, std::size_t floor) {
+        std::size_t victim = num_targets_;
+        for (std::size_t t = 0; t < num_targets_; ++t) {
+            if (t == thief || (vh_[t] == vh_[thief]) != own_vh) {
+                continue;
+            }
+            std::size_t stealable = 0;
+            for (const task_id id : targets_[t].ready) {
+                stealable += tasks_[id].opts.pinned ? 0U : 1U;
+            }
+            if (stealable > floor) {
+                floor = stealable;
+                victim = t;
+            }
         }
-        std::size_t stealable = 0;
-        for (const task_id id : targets_[t].ready) {
-            stealable += tasks_[id].opts.pinned ? 0U : 1U;
+        return std::pair{victim, floor};
+    };
+    auto [victim, best] = deepest(true, 0);
+    // Nothing local: the scope may allow crossing an inter-node link, but
+    // only to a queue deep enough to be worth the link latency.
+    const bool remote = victim == num_targets_;
+    if (remote) {
+        if (cfg_.scope != steal_scope::local_then_remote) {
+            return false;
         }
-        if (stealable > best) {
-            best = stealable;
-            victim = t;
+        std::tie(victim, best) = deepest(
+            false, std::max<std::size_t>(cfg_.remote_steal_threshold, 1) - 1);
+        if (victim == num_targets_) {
+            return false;
         }
-    }
-    if (victim == num_targets_) {
-        return false;
     }
 
-    // Take up to half the victim's stealable backlog (at least one task,
-    // at most one batch worth) from the *back* of its queue — the oldest
-    // tasks stay local, the youngest migrate, as in classic work stealing.
-    const std::size_t want = std::min<std::size_t>(
-        std::max<std::size_t>(best / 2, 1), std::max<std::uint32_t>(cfg_.max_batch, 1));
+    // Take from the *back* of the victim's queue — the oldest tasks stay
+    // local, the youngest migrate, as in classic work stealing. A local steal
+    // takes up to half the stealable backlog (at least one task, at most one
+    // batch worth); a remote one takes half, uncapped, so each crossing of
+    // the link moves work in bulk.
+    const std::size_t want =
+        remote ? (best + 1) / 2
+               : std::min<std::size_t>(std::max<std::size_t>(best / 2, 1),
+                                       std::max<std::uint32_t>(cfg_.max_batch, 1));
     std::deque<task_id>& vq = targets_[victim].ready;
     std::vector<task_id> taken;
     for (auto it = vq.rbegin(); it != vq.rend() && taken.size() < want;) {
@@ -623,19 +742,24 @@ bool executor::steal_into(std::size_t thief) {
     }
     ++stats_.steals;
     met_.steals->add(1);
+    stats_.tasks_stolen += taken.size();
+    if (remote) {
+        stats_.tasks_stolen_remote += taken.size();
+    }
+    (remote ? met_.stolen_remote : met_.stolen_local)->add(taken.size());
     AURORA_TRACE_INSTANT("sched", "steal");
     AURORA_TRACE_COUNTER("sched", "stolen_tasks", taken.size());
     return true;
 }
 
 bool executor::target_usable(std::size_t t) const {
-    const auto h = rt_.health(node_of(t));
+    const auto h = eng_.engine_health(t);
     return h != ham::offload::target_health::failed &&
            h != ham::offload::target_health::recovering;
 }
 
 bool executor::target_terminal(std::size_t t) const {
-    return rt_.health(node_of(t)) == ham::offload::target_health::failed;
+    return eng_.engine_health(t) == ham::offload::target_health::failed;
 }
 
 std::uint32_t executor::effective_window(std::size_t t) {
@@ -643,34 +767,40 @@ std::uint32_t executor::effective_window(std::size_t t) {
     // of one and earns the full window back linearly as its clean-result
     // streak approaches recovery_streak (the same streak that later promotes
     // it to healthy).
-    if (rt_.health(node_of(t)) != ham::offload::target_health::probation) {
+    if (eng_.engine_health(t) != ham::offload::target_health::probation) {
         return window_;
     }
     const std::uint32_t streak =
         std::max<std::uint32_t>(rt_.options().recovery_streak, 1);
-    const std::uint32_t progress =
-        std::min(rt_.probation_progress(node_of(t)), streak);
+    const std::uint32_t progress = std::min(eng_.engine_probation(t), streak);
     return 1 + (window_ - 1) * progress / streak;
 }
 
-std::size_t executor::next_healthy() {
-    for (std::size_t i = 0; i < num_targets_; ++i) {
-        const std::size_t t = (failover_rr_ + i) % num_targets_;
-        if (target_usable(t)) {
-            failover_rr_ = static_cast<std::uint32_t>((t + 1) % num_targets_);
-            return t;
-        }
-    }
-    // No dispatchable target, but a recovering one will take queued work once
-    // its respawn lands — park the task there rather than failing the run.
-    for (std::size_t i = 0; i < num_targets_; ++i) {
-        const std::size_t t = (failover_rr_ + i) % num_targets_;
-        if (!target_terminal(t)) {
-            failover_rr_ = static_cast<std::uint32_t>((t + 1) % num_targets_);
-            return t;
+std::size_t executor::next_healthy(std::size_t near) {
+    // A dispatchable engine — on `near`'s VH first, then on any VH. Failing
+    // that, a recovering one will take queued work once its respawn lands:
+    // park the task there rather than failing the run.
+    for (const bool usable_only : {true, false}) {
+        for (const bool same_vh : {true, false}) {
+            for (std::size_t i = 0; i < num_targets_; ++i) {
+                const std::size_t t = (failover_rr_ + i) % num_targets_;
+                if (same_vh && vh_[t] != vh_[near]) {
+                    continue;
+                }
+                if (usable_only ? target_usable(t) : !target_terminal(t)) {
+                    failover_rr_ =
+                        static_cast<std::uint32_t>((t + 1) % num_targets_);
+                    return t;
+                }
+            }
         }
     }
     return num_targets_;
+}
+
+std::string executor::lost_target(task_id id, std::size_t t) const {
+    return "pinned task " + std::to_string(id) + " lost its target " +
+           std::to_string(node_of(t)) + ": " + eng_.engine_failure(t);
 }
 
 void executor::evacuate(std::size_t dead) {
@@ -687,14 +817,12 @@ void executor::evacuate(std::size_t dead) {
     for (const task_id id : orphans) {
         detail::task_rec& rec = tasks_[id];
         if (rec.opts.pinned) {
-            std::string why = "pinned task " + std::to_string(id) +
-                              " lost its target: " +
-                              rt_.failure_reason(node_of(dead));
+            std::string why = lost_target(id, dead);
             note_failure(why);
             finish_task(id, task_state::failed, rec.home, std::move(why));
             continue;
         }
-        const std::size_t h = next_healthy();
+        const std::size_t h = next_healthy(dead);
         if (h == num_targets_) {
             note_failure("no healthy offload targets left");
             finish_task(id, task_state::failed, rec.home,
@@ -725,14 +853,12 @@ bool executor::reroute_flight(std::size_t dead, flight& f) {
     for (const task_id id : f.tasks) {
         detail::task_rec& rec = tasks_[id];
         if (rec.opts.pinned) {
-            std::string why = "pinned task " + std::to_string(id) +
-                              " lost its target: " +
-                              rt_.failure_reason(node_of(dead));
+            std::string why = lost_target(id, dead);
             note_failure(why);
             finish_task(id, task_state::failed, node_of(dead), std::move(why));
             continue;
         }
-        const std::size_t h = next_healthy();
+        const std::size_t h = next_healthy(dead);
         AURORA_CHECK(h != num_targets_); // pre-scan found a healthy target
         rec.home = node_of(h);
         rec.state = task_state::ready;

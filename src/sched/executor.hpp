@@ -1,8 +1,9 @@
 // aurora::sched executor — a multi-VE task scheduler over ham::offload.
 //
-// Owns one ready queue and one bounded in-flight window per offload target,
+// Owns one ready queue and one bounded in-flight window per engine (a (VH,
+// VE) pair of an engine_set — by default the ambient runtime's targets),
 // submits ready tasks as asynchronous active messages, and load-balances
-// across the machine's engines:
+// across the engines:
 //
 //   * dependency edges resolve through the offload future machinery (a
 //     flight's future fires its on_ready callback; successors of the landed
@@ -10,7 +11,9 @@
 //   * submission applies backpressure — when more than max_queued tasks are
 //     unfinished, submit() blocks in *virtual* time draining completions
 //     instead of failing on slot exhaustion,
-//   * placement is locality-aware with optional work stealing (policy.hpp),
+//   * placement is locality-aware with optional work stealing (policy.hpp);
+//     across VH nodes, steal_scope and remote_steal_threshold decide when an
+//     idle engine may take work over an inter-node link,
 //   * consecutive ready tasks bound for the same engine coalesce into one
 //     batch message (protocol::msg_kind::batch) when they fit the slot
 //     payload, amortising the per-message protocol cost of paper Fig. 9.
@@ -23,11 +26,14 @@
 
 #include <deque>
 #include <initializer_list>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "metrics/metrics.hpp"
 #include "offload/future.hpp"
+#include "sched/engines.hpp"
 #include "sched/policy.hpp"
 #include "sched/task.hpp"
 #include "sched/task_graph.hpp"
@@ -36,7 +42,7 @@ namespace aurora::sched {
 
 class executor {
 public:
-    /// Per-engine load counters (index i describes node i+1).
+    /// Per-engine load counters (index i describes engine i).
     struct target_load {
         std::uint64_t tasks_executed = 0;
         std::uint64_t messages_sent = 0;  ///< offload messages (incl. batches)
@@ -49,6 +55,8 @@ public:
     struct statistics {
         std::uint64_t host_tasks = 0;
         std::uint64_t steals = 0;              ///< steal transactions
+        std::uint64_t tasks_stolen = 0;        ///< tasks the steals moved
+        std::uint64_t tasks_stolen_remote = 0; ///< ...of them across VHs
         std::uint64_t backpressure_stalls = 0; ///< submits that had to block
         std::uint64_t batched_tasks = 0;       ///< tasks that rode in batches
         std::uint64_t failovers = 0;           ///< target-failure evacuations
@@ -60,7 +68,11 @@ public:
     };
 
     /// Must be constructed inside offload::run() (uses runtime::current()).
+    /// Schedules onto the ambient runtime's targets...
     explicit executor(executor_config cfg = {});
+    /// ...or onto `engines` (e.g. an aurora::net::cluster), which must
+    /// outlive the executor.
+    explicit executor(engine_set& engines, executor_config cfg = {});
     executor(const executor&) = delete;
     executor& operator=(const executor&) = delete;
 
@@ -109,10 +121,9 @@ public:
     /// Counters; per_target queue depths are refreshed on each call.
     [[nodiscard]] const statistics& stats();
 
-    /// Completion records in completion order (successful tasks only).
-    [[nodiscard]] const std::vector<completion_record>& trace() const noexcept {
-        return trace_;
-    }
+    /// Completion records in completion order (successful tasks only),
+    /// gathered from the per-task records on each call.
+    [[nodiscard]] const std::vector<completion_record>& trace() const;
 
     /// Per-task completion record (valid once finished(id); executed_on tells
     /// which engine settled it — aurora::admit feeds its breakers with this).
@@ -124,7 +135,9 @@ public:
     /// the root cause aurora::admit copies into the request's error so
     /// request::get() rethrows it instead of a generic message.
     [[nodiscard]] const std::string& error_of(task_id id) const {
-        return tasks_[id].error;
+        static const std::string none;
+        const auto it = errors_.find(id);
+        return it == errors_.end() ? none : it->second;
     }
 
 private:
@@ -141,9 +154,16 @@ private:
         std::deque<flight> inflight;
     };
 
-    [[nodiscard]] node_t node_of(std::size_t t) const {
-        return static_cast<node_t>(t + 1);
+    executor(engine_set* engines, executor_config cfg);
+
+    [[nodiscard]] node_t node_of(std::size_t t) const { return ids_[t]; }
+    [[nodiscard]] std::size_t index_of(node_t id) const {
+        return index_[static_cast<std::size_t>(id)];
     }
+    /// The VH an any_ve_of() affinity names, or -1 for any other value.
+    [[nodiscard]] int vh_marker(node_t affinity) const;
+    /// The engine on `vh` with the fewest ready plus in-flight tasks.
+    [[nodiscard]] std::size_t least_loaded_on(int vh) const;
 
     void release_ready(task_id id);
     void finish_task(task_id id, task_state outcome, node_t executed_on,
@@ -177,16 +197,32 @@ private:
     [[nodiscard]] bool target_usable(std::size_t t) const;  ///< dispatchable
     [[nodiscard]] bool target_terminal(std::size_t t) const;///< failed for good
     [[nodiscard]] std::uint32_t effective_window(std::size_t t);
-    [[nodiscard]] std::size_t next_healthy();
+    /// A live engine for re-routed work, on `near`'s VH when one is usable.
+    [[nodiscard]] std::size_t next_healthy(std::size_t near);
+    /// Why pinned task `id` failed with engine `t`.
+    [[nodiscard]] std::string lost_target(task_id id, std::size_t t) const;
     void evacuate(std::size_t dead);
     bool reroute_flight(std::size_t dead, flight& f);
 
     executor_config cfg_;
     ham::offload::runtime& rt_;
+    std::unique_ptr<engine_set> own_engines_; ///< the default runtime_engines
+    engine_set& eng_;
     std::size_t num_targets_;
     std::uint32_t window_;
+    /// Engine tables cached at construction: id and VH by index, index by id
+    /// (ids need not be dense), and how many VH nodes the engines span.
+    std::vector<node_t> ids_;
+    std::vector<int> vh_;
+    std::vector<std::size_t> index_;
+    int num_vhs_ = 1;
 
-    std::vector<detail::task_rec> tasks_;
+    /// A deque: growing it never copies the records (nor doubles their
+    /// footprint for the length of a reallocation).
+    std::deque<detail::task_rec> tasks_;
+    /// Why each failed task failed (see error_of); kept off the per-task
+    /// record because few tasks ever fail.
+    std::unordered_map<task_id, std::string> errors_;
     std::vector<target_queues> targets_;
     std::deque<task_id> host_ready_;
     std::size_t finished_count_ = 0;
@@ -204,6 +240,8 @@ private:
     /// drain tick. Instruments resolve once at construction.
     struct sched_instruments {
         aurora::metrics::counter* steals = nullptr;
+        aurora::metrics::counter* stolen_local = nullptr;
+        aurora::metrics::counter* stolen_remote = nullptr;
         aurora::metrics::counter* failovers = nullptr;
         aurora::metrics::counter* backpressure_stalls = nullptr;
         aurora::metrics::counter* host_tasks = nullptr;
@@ -217,7 +255,7 @@ private:
     sched_instruments met_;
 
     statistics stats_;
-    std::vector<completion_record> trace_;
+    mutable std::vector<completion_record> trace_; ///< trace()'s result
 };
 
 } // namespace aurora::sched

@@ -30,15 +30,14 @@ enum class placement_policy : std::uint8_t {
     return "?";
 }
 
-/// How far work stealing may reach in a multi-VH cluster (aurora::net).
-/// The single-machine executor always steals within its own target set;
-/// the cluster executor consults this before crossing an inter-node link.
+/// How far work stealing may reach when the engines span several VH nodes
+/// (aurora::net). On one VH every steal is local and this has no effect.
 enum class steal_scope : std::uint8_t {
     /// Steal only among the VEs of the same VH node.
     local_only,
-    /// Steal locally first; when no local queue has surplus work and a
-    /// remote queue's backlog exceeds the configured threshold, take from
-    /// the deepest remote queue (ties towards the lowest node id).
+    /// Steal locally first; when no engine on the thief's VH has stealable
+    /// work, take from the deepest queue on another VH if it holds at least
+    /// remote_steal_threshold stealable tasks (ties towards the lowest id).
     local_then_remote,
 };
 
@@ -96,6 +95,11 @@ struct executor_config {
     /// its dependents; independent work continues and wait_all() returns
     /// normally (per-task outcomes via state_of()/stats()).
     bool fail_fast = true;
+    /// How far an idle engine may steal across VH nodes.
+    steal_scope scope = steal_scope::local_then_remote;
+    /// Stealable tasks a queue on another VH must hold before a steal
+    /// crosses the inter-node link (remote dispatch pays the link latency).
+    std::uint32_t remote_steal_threshold = 4;
 };
 
 } // namespace aurora::sched

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "offload/types.hpp"
@@ -26,9 +25,14 @@ inline constexpr task_id invalid_task = std::numeric_limits<task_id>::max();
 /// "Let the scheduler choose" placement marker.
 inline constexpr node_t any_node = std::numeric_limits<node_t>::max();
 
+/// "Any VE of VH node `vh`" placement marker: the engine on that VH with the
+/// fewest ready plus in-flight tasks (ties towards the lowest id).
+[[nodiscard]] constexpr node_t any_ve_of(int vh) { return any_node - 1 - vh; }
+
 struct task_options {
-    /// Preferred execution node: 1..num_targets places on that VE's queue,
-    /// 0 runs on the host process itself (for scatter/gather phases), and
+    /// Preferred execution node: an engine id (1..num_targets on one VH)
+    /// places on that VE's queue, 0 runs on the host process itself (for
+    /// scatter/gather phases), any_ve_of(vh) picks a VE of that VH, and
     /// any_node lets the policy decide. Callers owning buffer_ptr inputs
     /// should pass the owning node here (locality-aware placement).
     node_t affinity = any_node;
@@ -79,7 +83,7 @@ struct task_rec {
     task_options opts;
     std::vector<task_id> succs;
     std::uint32_t unmet = 0;
-    node_t home = 0; ///< assigned queue: 0 = host, 1.. = target node
+    node_t home = 0; ///< assigned queue: 0 = host, else an engine id
     task_state state = task_state::blocked;
     /// Outcome propagation from predecessors: a failed dep skips this task,
     /// an expired dep cascade-expires it (expiry wins when both are set).
@@ -88,9 +92,6 @@ struct task_rec {
     /// Virtual time the task entered a ready queue — the start of its
     /// queue_wait stage in the aurora::obs request timeline.
     std::uint64_t ready_at_ns = 0;
-    /// Why the task settled as failed (empty otherwise) — the root cause a
-    /// serving front end copies into its per-request error.
-    std::string error;
     completion_record record;
 };
 

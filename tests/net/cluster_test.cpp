@@ -5,11 +5,16 @@
 //   * two-level scheduling with deterministic remote work stealing,
 //   * remote-node VE kill -> heal with exactly-once execution and no
 //     cross-tenant stall,
-//   * terminal remote failure settles futures with target_failed_error.
+//   * terminal remote failure settles futures with target_failed_error,
+//   * the one scheduler on the cluster tier: failover after a remote VE
+//     dies, cross-VH dependencies, deadlines and shedding, and a
+//     single-VH schedule identical to a plain sched::executor's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -46,6 +51,8 @@ void inc_cell(buffer_ptr<std::int64_t> cell) {
 int which_node() {
     return static_cast<int>(ham::offload::target_context::current()->node());
 }
+
+void spin(std::int64_t ns) { sim::advance(ns); }
 
 runtime_options origin_options(int ves = 2) {
     runtime_options opt;
@@ -355,6 +362,199 @@ TEST_F(Cluster, NodeStatusRollup) {
         }
         EXPECT_EQ(c.outstanding(1), 0u);
     });
+}
+
+TEST_F(Cluster, TerminalRemoteVeDeathFailsOverUnderTheExecutor) {
+    // VH 1's VE 1 (global id 3) dies for good while holding queued and
+    // in-flight work. Unpinned tasks finish on VH 1's surviving VE — the
+    // failover prefers the dead engine's own VH, and local_only scope keeps
+    // steals from moving them anywhere else — while pinned ones fail with
+    // the lost engine named in error_of().
+    cluster_options copt;
+    copt.nodes = 3;
+    copt.ves_per_node = 2;
+    copt.remote.reply_timeout_ns = 100'000;
+    copt.remote.max_retries = 1;
+    fault::injector::instance().kill_after_messages(3, 2);
+    run_cluster(origin_options(2), copt, [&](cluster& c) {
+        cluster_executor_config cfg;
+        cfg.scope = sched::steal_scope::local_only;
+        cfg.fail_fast = false;
+        cluster_executor ex(c, cfg);
+        std::vector<cluster_executor::task_id> unpinned, pinned;
+        for (int i = 0; i < 12; ++i) {
+            unpinned.push_back(ex.submit(ham::f2f<&spin>(20'000), 1, 1));
+        }
+        for (int i = 0; i < 4; ++i) {
+            pinned.push_back(
+                ex.submit(ham::f2f<&spin>(20'000), 1, 1, /*pinned=*/true));
+        }
+        ex.wait_all();
+        EXPECT_EQ(c.engine_health(1, 1), target_health::failed);
+
+        sched::executor& s = ex.executor();
+        std::uint64_t on_sibling = 0;
+        for (const auto id : unpinned) {
+            const auto tid = static_cast<sched::task_id>(id);
+            ASSERT_EQ(s.state_of(tid), sched::task_state::done) << id;
+            const sched::node_t on = s.record_of(tid).executed_on;
+            EXPECT_TRUE(on == c.global_id(1, 1) || on == c.global_id(1, 2))
+                << "task " << id << " left VH 1 for engine " << on;
+            on_sibling += on == c.global_id(1, 2) ? 1U : 0U;
+        }
+        EXPECT_GT(on_sibling, 0u);
+        for (const auto id : pinned) {
+            const auto tid = static_cast<sched::task_id>(id);
+            EXPECT_EQ(s.state_of(tid), sched::task_state::failed) << id;
+            EXPECT_NE(s.error_of(tid).find("lost its target 3"),
+                      std::string::npos)
+                << s.error_of(tid);
+        }
+        EXPECT_EQ(ex.stats().failed, pinned.size());
+        EXPECT_GT(ex.stats().reroutes, 0u);
+
+        const std::vector<cluster_executor::task_id>& order =
+            ex.completion_order();
+        EXPECT_EQ(order.size(), unpinned.size() + pinned.size());
+        const std::set<cluster_executor::task_id> ids(order.begin(),
+                                                      order.end());
+        EXPECT_EQ(ids.size(), order.size()) << "a task settled twice";
+    }, 600'000'000'000);
+}
+
+TEST_F(Cluster, DependencyAcrossVhNodesIsHonoured) {
+    cluster_options copt;
+    copt.nodes = 3;
+    copt.ves_per_node = 2;
+    run_cluster(origin_options(2), copt, [&](cluster& c) {
+        cluster_executor ex(c, {});
+        sched::executor& s = ex.executor();
+        // The predecessor is the slow one, so only the dependency edge can
+        // hold the successor back.
+        const sched::task_id a = s.submit(
+            ham::f2f<&spin>(200'000),
+            {.affinity = ex.affinity(1, 1), .pinned = true});
+        const sched::task_id b =
+            s.submit(ham::f2f<&spin>(1'000),
+                     {.affinity = ex.affinity(2, 1), .pinned = true}, {a});
+        ex.wait_all();
+        ASSERT_EQ(s.state_of(a), sched::task_state::done);
+        ASSERT_EQ(s.state_of(b), sched::task_state::done);
+        EXPECT_EQ(s.record_of(a).executed_on, c.global_id(1, 1));
+        EXPECT_EQ(s.record_of(b).executed_on, c.global_id(2, 1));
+        EXPECT_LT(s.record_of(a).done_seq, s.record_of(b).start_seq);
+    }, 600'000'000'000);
+}
+
+TEST_F(Cluster, RemoteTaskExpiresWhileQueued) {
+    cluster_options copt;
+    copt.nodes = 2;
+    copt.ves_per_node = 2;
+    run_cluster(origin_options(1), copt, [&](cluster& c) {
+        cluster_executor_config cfg;
+        cfg.window = 1;
+        cluster_executor ex(c, cfg);
+        for (int i = 0; i < 3; ++i) {
+            ex.submit(ham::f2f<&spin>(100'000), 1, 1, /*pinned=*/true);
+        }
+        // Queued behind 300 us of pinned work with a 50 us budget.
+        const sched::task_id late = ex.executor().submit(
+            ham::f2f<&spin>(1'000), {.affinity = ex.affinity(1, 1),
+                                     .pinned = true,
+                                     .deadline_ns = sim::now() + 50'000});
+        ex.wait_all();
+        EXPECT_EQ(ex.executor().state_of(late), sched::task_state::expired);
+        EXPECT_EQ(ex.stats().expired, 1u);
+        EXPECT_EQ(ex.stats().completed, 3u);
+        EXPECT_EQ(ex.completion_order().size(), 4u);
+    }, 600'000'000'000);
+}
+
+TEST_F(Cluster, ShedBackpressureRejectsOnTheClusterTier) {
+    cluster_options copt;
+    copt.nodes = 2;
+    copt.ves_per_node = 2;
+    run_cluster(origin_options(1), copt, [&](cluster& c) {
+        cluster_executor_config cfg;
+        cfg.max_queued = 4;
+        cfg.backpressure = sched::backpressure_mode::shed;
+        cluster_executor ex(c, cfg);
+        for (int i = 0; i < 4; ++i) {
+            ex.submit(ham::f2f<&spin>(50'000), 1);
+        }
+        EXPECT_THROW(ex.submit(ham::f2f<&spin>(50'000), 1),
+                     ham::offload::admission_error);
+        ex.wait_all();
+        EXPECT_EQ(ex.stats().completed, 4u);
+        EXPECT_EQ(ex.executor().stats().tasks_shed, 1u);
+    }, 600'000'000'000);
+}
+
+/// The differential workload: skewed costs over explicit (0, ve) affinities.
+struct diff_task {
+    std::int64_t cost_ns;
+    int ve;
+};
+
+std::vector<diff_task> diff_tasks() {
+    std::vector<diff_task> tasks;
+    for (int i = 0; i < 48; ++i) {
+        tasks.push_back({i % 8 == 7 ? 80'000 : 5'000, i % 3 == 0 ? 1 : 1 + i % 4});
+    }
+    return tasks;
+}
+
+std::vector<sched::completion_record> single_vh_trace(bool facade) {
+    std::vector<sched::completion_record> trace;
+    sim::platform plat(sim::platform_config::test_machine());
+    plat.sim().set_virtual_deadline(600'000'000'000);
+    EXPECT_EQ(run(plat, origin_options(4), [&] {
+        if (facade) {
+            cluster_options copt;
+            copt.nodes = 1;
+            copt.ves_per_node = 4;
+            cluster c(plat, copt);
+            cluster_executor ex(c, {});
+            for (const diff_task& t : diff_tasks()) {
+                ex.submit(ham::f2f<&spin>(t.cost_ns), 0, t.ve);
+            }
+            ex.wait_all();
+            trace = ex.executor().trace();
+            return;
+        }
+        // The facade serialises without charging construction time; so
+        // does this side, so both schedules start from the same instant.
+        // Same configuration too: the facade's default, batching off.
+        ham::offload::runtime& rt = *ham::offload::runtime::current();
+        sched::executor ex(cluster_executor_config{});
+        for (const diff_task& t : diff_tasks()) {
+            alignas(16) std::byte buf[ham::default_max_msg_size];
+            const std::size_t len = ham::write_message(
+                rt.host_registry(), buf,
+                std::min<std::size_t>(sizeof(buf), rt.options().msg_size),
+                ham::f2f<&spin>(t.cost_ns));
+            ex.submit_serialized({buf, buf + len}, {.affinity = t.ve}, nullptr,
+                                 0);
+        }
+        ex.wait_all();
+        trace = ex.trace();
+    }), 0);
+    return trace;
+}
+
+TEST_F(Cluster, SingleVhFacadeMatchesPlainExecutor) {
+    const std::vector<sched::completion_record> via_facade =
+        single_vh_trace(true);
+    const std::vector<sched::completion_record> plain = single_vh_trace(false);
+    ASSERT_EQ(via_facade.size(), diff_tasks().size());
+    ASSERT_EQ(via_facade.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(via_facade[i].id, plain[i].id) << i;
+        EXPECT_EQ(via_facade[i].executed_on, plain[i].executed_on) << i;
+        EXPECT_EQ(via_facade[i].start_seq, plain[i].start_seq) << i;
+        EXPECT_EQ(via_facade[i].done_seq, plain[i].done_seq) << i;
+        EXPECT_EQ(via_facade[i].done_time_ns, plain[i].done_time_ns) << i;
+    }
 }
 
 } // namespace

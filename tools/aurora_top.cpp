@@ -314,13 +314,13 @@ void render(const std::string& prom_text, int frame, bool clear) {
                      v, "aurora_net_results_returned_total|node=" + n)))});
         }
         std::printf("\ncluster:\n%s", ct.str().c_str());
-        std::printf("steals: %lld local, %lld remote   reroutes: %lld\n",
+        std::printf("stolen tasks: %lld local, %lld remote   rerouted: %lld\n",
                     static_cast<long long>(scalar_or(
-                        v, "aurora_net_steals_total|scope=local")),
+                        v, "aurora_sched_stolen_tasks_total|scope=local")),
                     static_cast<long long>(scalar_or(
-                        v, "aurora_net_steals_total|scope=remote")),
-                    static_cast<long long>(
-                        scalar_or(v, "aurora_net_reroutes_total")));
+                        v, "aurora_sched_stolen_tasks_total|scope=remote")),
+                    static_cast<long long>(scalar_or(
+                        v, "aurora_sched_tasks_failed_over_total")));
     }
 
     // Per-tenant admission rollup (aurora::admit), when the export carries
