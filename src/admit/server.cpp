@@ -187,6 +187,7 @@ void server::close(session_id sid) {
     s.met->queue_depth->add(-static_cast<std::int64_t>(s.queue.size()));
     queued_total_ -= s.queue.size();
     s.queue.clear();
+    queued_sessions_.erase(sid);
     AURORA_TRACE("admit", "session " << sid << " closed");
 }
 
@@ -319,6 +320,9 @@ request server::submit_serialized(session_id sid, std::vector<std::byte> msg,
     r->topts.cost_ns = ro.cost_ns;
     r->topts.deadline_ns = r->deadline_ns;
     s.queue.push_back(r);
+    if (s.queue.size() == 1) {
+        queued_sessions_.emplace(sid, &s);
+    }
     ++queued_total_;
     s.met->queue_depth->add(1);
     ++s.admitted;
@@ -347,7 +351,8 @@ void server::expire_request(session_rec& s, const request_ptr& r) {
 bool server::expire_queued() {
     const sim::time_ns now = sim::now();
     bool progress = false;
-    for (auto& [sid, s] : sessions_) {
+    for (auto qit = queued_sessions_.begin(); qit != queued_sessions_.end();) {
+        session_rec& s = *qit->second;
         for (auto it = s.queue.begin(); it != s.queue.end();) {
             const request_ptr& r = *it;
             if (r->deadline_ns > 0 && now >= r->deadline_ns) {
@@ -360,6 +365,7 @@ bool server::expire_queued() {
                 ++it;
             }
         }
+        qit = s.queue.empty() ? queued_sessions_.erase(qit) : std::next(qit);
     }
     return progress;
 }
@@ -376,22 +382,27 @@ bool server::dispatch_queued() {
     // window fills mid-turn the leftover credit persists and the cursor
     // stays before the session, so it resumes first once room frees —
     // weights hold even when capacity opens one slot at a time. Iteration
-    // order over the session map is deterministic.
+    // order over the session ids is deterministic; sessions without queued
+    // work would be skipped anyway, so only queued_sessions_ is walked.
     for (std::size_t c = 0; c < num_qos_classes; ++c) {
         const auto cls = static_cast<qos_class>(c);
         bool round_progress = true;
         while (round_progress && exec_room() > 0) {
             round_progress = false;
-            // One full rotation starting after the cursor.
-            auto start = sessions_.upper_bound(rr_after_[c]);
-            for (std::size_t step = 0;
-                 step < sessions_.size() && exec_room() > 0; ++step) {
-                if (start == sessions_.end()) {
-                    start = sessions_.begin();
+            // One full rotation starting after the cursor. A visited session
+            // that empties leaves the index; the rest keep their order.
+            session_id cursor = rr_after_[c];
+            const std::size_t rotation = queued_sessions_.size();
+            for (std::size_t step = 0; step < rotation && exec_room() > 0;
+                 ++step) {
+                auto it = queued_sessions_.upper_bound(cursor);
+                if (it == queued_sessions_.end()) {
+                    it = queued_sessions_.begin();
                 }
-                auto it = start++;
-                session_rec& s = it->second;
-                if (s.opts.cls != cls || s.queue.empty()) {
+                const session_id sid = it->first;
+                session_rec& s = *it->second;
+                cursor = sid;
+                if (s.opts.cls != cls) {
                     continue;
                 }
                 if (s.quantum == 0) {
@@ -441,7 +452,10 @@ bool server::dispatch_queued() {
                     return progress;
                 }
                 s.quantum = 0;
-                rr_after_[c] = it->first;
+                rr_after_[c] = sid;
+                if (s.queue.empty()) {
+                    queued_sessions_.erase(sid);
+                }
             }
         }
     }

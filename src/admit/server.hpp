@@ -219,7 +219,12 @@ private:
     sched::executor exec_;
     std::size_t num_targets_ = 0;
     std::size_t dispatch_window_ = 0; ///< resolved cfg_.dispatch_window
+    /// Every session ever opened: closed ones stay so stats(sid) answers.
     std::map<session_id, session_rec> sessions_;
+    /// The sessions whose queue is non-empty, in id order. Dispatch and the
+    /// deadline sweep walk only these, so their cost follows the queued
+    /// sessions, not every session the server has seen.
+    std::map<session_id, session_rec*> queued_sessions_;
     session_id next_sid_ = 1;
     std::uint64_t next_serial_ = 1;
     std::size_t open_sessions_ = 0;

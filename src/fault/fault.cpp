@@ -61,8 +61,8 @@ void injector::configure(const config& cfg) {
     jitter_rng_ = cfg.seed ^ 0xA5A5A5A5DEADBEEFULL;
     stats_ = counters{};
     nodes_.clear();
-    armed_.store(false, std::memory_order_relaxed);
-    active_.store(cfg.enabled, std::memory_order_relaxed);
+    __atomic_store_n(&armed_, false, __ATOMIC_RELAXED);
+    __atomic_store_n(&active_, cfg.enabled, __ATOMIC_RELAXED);
     aurora::metrics::registry::global()
         .gauge_for("aurora_fault_active", "",
                    "1 while probabilistic fault injection is enabled")
@@ -71,22 +71,22 @@ void injector::configure(const config& cfg) {
 
 void injector::kill_at_time(int node, sim::time_ns when) {
     nodes_[node].kill_times.push_back(when);
-    armed_.store(true, std::memory_order_relaxed);
+    __atomic_store_n(&armed_, true, __ATOMIC_RELAXED);
 }
 
 void injector::kill_after_messages(int node, std::uint64_t n) {
     nodes_[node].kill_counts.push_back(n);
-    armed_.store(true, std::memory_order_relaxed);
+    __atomic_store_n(&armed_, true, __ATOMIC_RELAXED);
 }
 
 void injector::kill_now(int node) {
     nodes_[node].fenced = true; // due immediately at the next check
-    armed_.store(true, std::memory_order_relaxed);
+    __atomic_store_n(&armed_, true, __ATOMIC_RELAXED);
 }
 
 void injector::fail_next_attach(int node) {
     ++nodes_[node].fail_attach;
-    armed_.store(true, std::memory_order_relaxed);
+    __atomic_store_n(&armed_, true, __ATOMIC_RELAXED);
 }
 
 bool injector::killed(int node) const {
@@ -106,7 +106,7 @@ void injector::revive(int node) {
 }
 
 bool injector::take_attach_failure(int node) {
-    if (!armed_.load(std::memory_order_relaxed)) {
+    if (!__atomic_load_n(&armed_, __ATOMIC_RELAXED)) {
         return false;
     }
     const auto it = nodes_.find(node);
@@ -120,7 +120,7 @@ bool injector::take_attach_failure(int node) {
 }
 
 void injector::count_message(int node) {
-    if (!armed_.load(std::memory_order_relaxed)) {
+    if (!__atomic_load_n(&armed_, __ATOMIC_RELAXED)) {
         return;
     }
     const auto it = nodes_.find(node);
@@ -129,10 +129,7 @@ void injector::count_message(int node) {
     }
 }
 
-void injector::check_target_alive(int node) {
-    if (!armed_.load(std::memory_order_relaxed)) {
-        return;
-    }
+void injector::check_armed_target_alive(int node) {
     const auto it = nodes_.find(node);
     if (it == nodes_.end()) {
         return;

@@ -25,7 +25,6 @@
 //   delay_spike   — a send stalls for config.delay_ns of virtual time
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -90,8 +89,8 @@ public:
     void reset() { configure(config{}); }
 
     /// Probabilistic injection (and checksumming) enabled?
-    [[nodiscard]] bool active() const noexcept {
-        return active_.load(std::memory_order_relaxed);
+    [[nodiscard, gnu::always_inline]] bool active() const noexcept {
+        return __atomic_load_n(&active_, __ATOMIC_RELAXED);
     }
     [[nodiscard]] const config& cfg() const noexcept { return cfg_; }
     [[nodiscard]] counters& stats() noexcept { return stats_; }
@@ -128,7 +127,11 @@ public:
     /// Throw target_killed when `node`'s death is due (time reached, message
     /// count reached, or fenced via kill_now). Near-free while nothing is
     /// scheduled: one relaxed atomic load.
-    void check_target_alive(int node);
+    [[gnu::always_inline]] void check_target_alive(int node) {
+        if (__atomic_load_n(&armed_, __ATOMIC_RELAXED)) {
+            check_armed_target_alive(node);
+        }
+    }
     /// Record a target that gave up waiting for the host (idle timeout).
     void note_idle_timeout();
 
@@ -166,11 +169,15 @@ private:
         std::uint32_t fail_attach = 0; ///< pending injected attach failures
     };
 
+    void check_armed_target_alive(int node);
     [[nodiscard]] std::uint64_t draw();
     [[nodiscard]] bool roll(std::uint32_t permille, std::uint64_t& counter);
 
-    std::atomic<bool> active_{false};
-    std::atomic<bool> armed_{false}; ///< any kill/attach schedule outstanding
+    // Both flags are read and written with relaxed __atomic builtins: the
+    // disabled-path overhead gate also runs in unoptimised sanitizer builds,
+    // where std::atomic's helpers are out-of-line calls (see metrics.hpp).
+    bool active_ = false;
+    bool armed_ = false; ///< any kill/attach schedule outstanding
     config cfg_;
     std::uint64_t rng_ = 0;
     /// Separate stream for backoff jitter so jitter draws never perturb the

@@ -2,6 +2,6 @@
 
 namespace ham {
 
-thread_local const handler_registry* execution_context::current_ = nullptr;
+const aurora::context_local<const handler_registry*> execution_context::current_;
 
 } // namespace ham

@@ -1,10 +1,19 @@
 #include "metrics/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.hpp"
 
 namespace aurora::metrics {
+
+namespace {
+// Static initialisation runs on the main thread: it owns the shards.
+[[maybe_unused]] const bool g_main_thread_owns_shards = [] {
+    detail::t_shard_owner = true;
+    return true;
+}();
+} // namespace
 
 double histogram::snapshot::percentile(double q) const {
     if (count == 0) {
@@ -54,12 +63,14 @@ void histogram::snapshot::merge(const snapshot& other) {
 
 histogram::snapshot histogram::snap() const {
     snapshot s;
-    for (std::size_t b = 0; b < num_buckets; ++b) {
-        s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+    for (const shard* sh : {&owned_, &shared_}) {
+        for (std::size_t b = 0; b < num_buckets; ++b) {
+            s.buckets[b] += detail::relaxed_load(sh->buckets[b]);
+        }
+        s.count += detail::relaxed_load(sh->count);
+        s.sum += detail::relaxed_load(sh->sum);
+        s.max = std::max(s.max, detail::relaxed_load(sh->max));
     }
-    s.count = count_.load(std::memory_order_relaxed);
-    s.sum = sum_.load(std::memory_order_relaxed);
-    s.max = max_.load(std::memory_order_relaxed);
     return s;
 }
 

@@ -3,11 +3,20 @@
 // A process-wide registry of counters, gauges and log-bucketed latency
 // histograms that stays enabled in release builds. Unlike aurora::trace
 // (env-gated, event-stream, offline export) this layer is cheap enough to
-// run unconditionally: every hot-path operation is a handful of relaxed
-// atomic increments on pre-resolved instrument pointers — no locks, no
-// allocation, no clock reads inside the library itself (callers pass the
-// durations they already know). bench_metrics_overhead pins the per-record
-// cost at < 1% of the cheapest offload round trip.
+// run unconditionally: every hot-path operation goes through pre-resolved
+// instrument pointers — no locks, no allocation, no clock reads inside the
+// library itself (callers pass the durations they already know).
+// bench_metrics_overhead pins the per-record cost at < 1% of the cheapest
+// offload round trip.
+//
+// Counters and histograms are sharded by writer. The process's main thread
+// (the one that ran static initialisation, where simulations run: every
+// simulated process is a fiber on the thread that calls simulation::run())
+// owns one shard per instrument and updates it with plain relaxed loads and
+// stores, no lock-prefixed instructions. Every other thread updates a shared
+// shard with atomic read-modify-writes. Reads sum both shards, so totals
+// stay exact under concurrent writers; a reader racing the writers sees
+// each shard's latest relaxed value.
 //
 // Registration (name + preformatted label string -> stable instrument
 // pointer) takes a mutex, so resolve instruments once at setup time and
@@ -39,19 +48,57 @@
 
 namespace aurora::metrics {
 
-/// Monotonically increasing event count. All operations are single relaxed
-/// atomics — safe from any thread, including simulated processes.
+namespace detail {
+/// True on the thread that owns the single-writer shards (the main thread).
+inline constinit thread_local bool t_shard_owner = false;
+
+// Shard words are plain integers accessed through the GCC/Clang __atomic
+// builtins, always relaxed. Optimised, that is exactly what std::atomic
+// emits; unoptimised, it avoids std::atomic's out-of-line helper calls, and
+// always_inline avoids ours. The 1% overhead gates run in the unoptimised
+// sanitizer builds too.
+[[gnu::always_inline]] inline std::uint64_t relaxed_load(
+    const std::uint64_t& w) noexcept {
+    return __atomic_load_n(&w, __ATOMIC_RELAXED);
+}
+[[gnu::always_inline]] inline void relaxed_store(std::uint64_t& w,
+                                                 std::uint64_t v) noexcept {
+    __atomic_store_n(&w, v, __ATOMIC_RELAXED);
+}
+/// Single-writer increment: only the owning thread ever stores to `w`.
+[[gnu::always_inline]] inline void owner_add(std::uint64_t& w,
+                                             std::uint64_t d) noexcept {
+    relaxed_store(w, relaxed_load(w) + d);
+}
+[[gnu::always_inline]] inline void shared_add(std::uint64_t& w,
+                                              std::uint64_t d) noexcept {
+    __atomic_fetch_add(&w, d, __ATOMIC_RELAXED);
+}
+} // namespace detail
+
+/// Monotonically increasing event count. Safe from any thread, including
+/// simulated processes; an add is a plain load and store on the main thread
+/// and one relaxed atomic RMW elsewhere.
 class counter {
 public:
-    void add(std::uint64_t delta = 1) noexcept {
-        v_.fetch_add(delta, std::memory_order_relaxed);
+    counter() = default;
+    counter(const counter&) = delete; // an instrument has one identity
+    counter& operator=(const counter&) = delete;
+
+    [[gnu::always_inline]] void add(std::uint64_t delta = 1) noexcept {
+        if (detail::t_shard_owner) {
+            detail::owner_add(owned_, delta);
+        } else {
+            detail::shared_add(shared_, delta);
+        }
     }
     [[nodiscard]] std::uint64_t value() const noexcept {
-        return v_.load(std::memory_order_relaxed);
+        return detail::relaxed_load(owned_) + detail::relaxed_load(shared_);
     }
 
 private:
-    std::atomic<std::uint64_t> v_{0};
+    std::uint64_t owned_ = 0;  ///< main thread only
+    std::uint64_t shared_ = 0; ///< every other thread
 };
 
 /// Instantaneous signed level (queue depth, health state, window occupancy).
@@ -73,8 +120,10 @@ private:
 //
 // Bucket 0 holds the value 0; bucket i (1 <= i <= 64) holds values in
 // [2^(i-1), 2^i - 1] — i.e. bucket_index(v) == std::bit_width(v). Recording
-// is four relaxed atomic RMWs (bucket, count, sum, max); snapshots derive
-// percentiles from the bucket counts with linear interpolation:
+// updates bucket, count, sum and max of the caller's shard (plain loads and
+// stores on the main thread, relaxed atomic RMWs elsewhere); snapshots sum
+// the shards and derive percentiles from the bucket counts with linear
+// interpolation:
 //
 //   rank r    = clamp(ceil(q/100 * count), 1, count)     (1-based)
 //   bucket b  = first bucket with cumulative count >= r
@@ -86,7 +135,12 @@ class histogram {
 public:
     static constexpr std::size_t num_buckets = 65;
 
-    [[nodiscard]] static constexpr std::size_t bucket_index(std::uint64_t v) noexcept {
+    histogram() = default;
+    histogram(const histogram&) = delete; // an instrument has one identity
+    histogram& operator=(const histogram&) = delete;
+
+    [[nodiscard, gnu::always_inline]] static constexpr std::size_t bucket_index(
+        std::uint64_t v) noexcept {
         return static_cast<std::size_t>(std::bit_width(v));
     }
     /// Smallest value of bucket `i`.
@@ -100,13 +154,23 @@ public:
                          : (std::uint64_t{1} << i) - 1;
     }
 
-    void record(std::uint64_t v) noexcept {
-        buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(v, std::memory_order_relaxed);
-        std::uint64_t seen = max_.load(std::memory_order_relaxed);
+    [[gnu::always_inline]] void record(std::uint64_t v) noexcept {
+        if (detail::t_shard_owner) {
+            detail::owner_add(owned_.buckets[bucket_index(v)], 1);
+            detail::owner_add(owned_.count, 1);
+            detail::owner_add(owned_.sum, v);
+            if (v > detail::relaxed_load(owned_.max)) {
+                detail::relaxed_store(owned_.max, v);
+            }
+            return;
+        }
+        detail::shared_add(shared_.buckets[bucket_index(v)], 1);
+        detail::shared_add(shared_.count, 1);
+        detail::shared_add(shared_.sum, v);
+        std::uint64_t seen = detail::relaxed_load(shared_.max);
         while (v > seen &&
-               !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+               !__atomic_compare_exchange_n(&shared_.max, &seen, v, true,
+                                            __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
         }
     }
 
@@ -134,10 +198,14 @@ public:
     [[nodiscard]] snapshot snap() const;
 
 private:
-    std::array<std::atomic<std::uint64_t>, num_buckets> buckets_{};
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> sum_{0};
-    std::atomic<std::uint64_t> max_{0};
+    struct shard {
+        std::array<std::uint64_t, num_buckets> buckets{};
+        std::uint64_t count = 0;
+        std::uint64_t sum = 0;
+        std::uint64_t max = 0;
+    };
+    shard owned_;  ///< main thread only
+    shard shared_; ///< every other thread
 };
 
 enum class instrument_kind : std::uint8_t { counter, gauge, histogram };

@@ -5,8 +5,8 @@
 //
 //   * request-lifecycle events: every runtime/scheduler/backend/net
 //     touchpoint of one offload request emits a ticket-keyed
-//     trace::event_type::lifecycle record into the existing per-thread trace
-//     lanes. A request is identified by (node, ticket) — tickets are
+//     trace::event_type::lifecycle record into the existing trace lanes
+//     (one per simulated process). A request is identified by (node, ticket) — tickets are
 //     per-target counters in the runtime, node is the machine-unique global
 //     id (runtime_options::node_base + local node). VE-side touchpoints do
 //     not know the ticket (the wire deliberately carries none on the

@@ -21,7 +21,7 @@
 
 namespace ham::offload {
 
-thread_local runtime* runtime::current_ = nullptr;
+const aurora::context_local<runtime*> runtime::current_;
 
 /// Backing-region supplier for a target's arena: one backend allocate_bytes
 /// per region instead of one per user buffer. Failure is reported as 0 (the

@@ -20,6 +20,7 @@
 #include "offload/types.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
+#include "util/context_local.hpp"
 
 namespace aurora::veos {
 class veos_system;
@@ -42,13 +43,16 @@ public:
     runtime(const runtime&) = delete;
     runtime& operator=(const runtime&) = delete;
 
-    /// The runtime of the calling thread (installed via scope).
-    [[nodiscard]] static runtime* current() noexcept { return current_; }
+    /// The runtime of the calling simulated process or thread (installed
+    /// via scope).
+    [[nodiscard]] static runtime* current() noexcept { return current_.get(); }
 
     class scope {
     public:
-        explicit scope(runtime& rt) : previous_(current_) { current_ = &rt; }
-        ~scope() { current_ = previous_; }
+        explicit scope(runtime& rt) : previous_(current_.get()) {
+            current_.set(&rt);
+        }
+        ~scope() { current_.set(previous_); }
         scope(const scope&) = delete;
         scope& operator=(const scope&) = delete;
 
@@ -339,7 +343,7 @@ private:
     /// Transition `t.health` and mirror it into the health gauge.
     void set_health(target_state& t, target_health h);
 
-    static thread_local runtime* current_;
+    static const aurora::context_local<runtime*> current_;
 
     sim::simulation& sim_;
     aurora::veos::veos_system* sys_;

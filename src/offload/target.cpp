@@ -6,7 +6,7 @@
 
 namespace ham::offload {
 
-thread_local target_context* target_context::current_ = nullptr;
+const aurora::context_local<target_context*> target_context::current_;
 
 void compute_hint(double flops, double bytes, bool vectorised) {
     if (!sim::in_simulation()) {

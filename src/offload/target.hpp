@@ -3,7 +3,7 @@
 // On the real machine, offloaded code dereferences target pointers natively.
 // In the simulation, target memory may be simulated HBM2 behind an address
 // translation, so buffer_ptr<T> accesses route through the target_context
-// installed on the executing thread by the target message loop. The context
+// that the target message loop installs in its simulated process. The context
 // also carries the device's compute-throughput model so kernels can charge
 // realistic execution time with compute_hint().
 #pragma once
@@ -12,6 +12,7 @@
 
 #include "offload/types.hpp"
 #include "sim/cost_model.hpp"
+#include "util/context_local.hpp"
 
 namespace ham::offload {
 
@@ -23,7 +24,7 @@ public:
     virtual void write(std::uint64_t addr, const void* src, std::uint64_t len) = 0;
 };
 
-/// Per-thread context while executing on an offload target (or the host).
+/// Per-process context while executing on an offload target (or the host).
 class target_context {
 public:
     enum class device { vh, ve };
@@ -37,16 +38,19 @@ public:
     [[nodiscard]] target_memory* memory() const noexcept { return mem_; }
     [[nodiscard]] const sim::cost_model* costs() const noexcept { return costs_; }
 
-    /// The context of the executing thread (nullptr outside offload code).
-    [[nodiscard]] static target_context* current() noexcept { return current_; }
+    /// The context of the executing simulated process or thread (nullptr
+    /// outside offload code).
+    [[nodiscard]] static target_context* current() noexcept {
+        return current_.get();
+    }
 
     /// RAII installation.
     class scope {
     public:
-        explicit scope(target_context& ctx) : previous_(current_) {
-            current_ = &ctx;
+        explicit scope(target_context& ctx) : previous_(current_.get()) {
+            current_.set(&ctx);
         }
-        ~scope() { current_ = previous_; }
+        ~scope() { current_.set(previous_); }
         scope(const scope&) = delete;
         scope& operator=(const scope&) = delete;
 
@@ -55,7 +59,7 @@ public:
     };
 
 private:
-    static thread_local target_context* current_;
+    static const aurora::context_local<target_context*> current_;
 
     node_t node_;
     device dev_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "sim/fiber.hpp"
 #include "util/check.hpp"
 
 namespace aurora::sim {
@@ -26,61 +27,34 @@ const char* state_name(int s) {
 process::process(simulation& sim, std::uint32_t id, std::string name, body_fn body)
     : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
-process::~process() {
-    // Threads are joined by the owning simulation before destruction.
-    AURORA_ASSERT(!thread_.joinable());
-}
+process::~process() = default;
 
-void process::thread_main() {
-    tl_current = this;
+void process::fiber_main() {
+    detail::fiber::started();
+    process& me = *tl_current;
+    me.sim_.resumed();
     std::exception_ptr err;
     try {
-        {
-            std::unique_lock<std::mutex> lk(sim_.mu_);
-            sim_.wait_for_grant_locked(lk, *this);
-        }
-        body_();
+        me.st_ = state::running;
+        me.now_ = me.wake_;
+        me.body_();
     } catch (const simulation_aborted&) {
         // Orderly unwind after abort; nothing to record.
     } catch (...) {
         err = std::current_exception();
     }
-
-    std::unique_lock<std::mutex> lk(sim_.mu_);
-    if (err != nullptr) {
-        sim_.abort_locked(err);
-    }
-    st_ = state::finished;
-    for (process* w : join_waiters_) {
-        sim_.make_ready_locked(*w, std::max(w->now_, now_));
-    }
-    join_waiters_.clear();
-    sim_.schedule_next_locked(this);
+    me.sim_.finish(me, std::move(err));
 }
 
 // --- simulation -------------------------------------------------------------
 
 simulation::simulation() = default;
 
-simulation::~simulation() {
-    {
-        std::unique_lock<std::mutex> lk(mu_);
-        if (!done_ && !processes_.empty()) {
-            aborted_ = true;
-            for (auto& p : processes_) {
-                p->cv_.notify_all();
-            }
-        }
-    }
-    for (auto& p : processes_) {
-        if (p->thread_.joinable()) {
-            p->thread_.join();
-        }
-    }
-}
+// Every started process has finished by the time run() returns, so only
+// never-started processes remain; they own no stack and are simply dropped.
+simulation::~simulation() = default;
 
 process& simulation::spawn(std::string name, process::body_fn body) {
-    std::unique_lock<std::mutex> lk(mu_);
     AURORA_CHECK_MSG(!done_ && !aborted_, "spawn on a finished simulation");
     const auto id = static_cast<std::uint32_t>(processes_.size());
     time_ns start = 0;
@@ -94,30 +68,32 @@ process& simulation::spawn(std::string name, process::body_fn body) {
                                                       std::move(body)));
     process& p = *owned;
     processes_.push_back(std::move(owned));
-    make_ready_locked(p, start);
+    make_ready(p, start);
     ++stats_.processes_spawned;
-    p.thread_ = std::thread(&process::thread_main, &p);
     return p;
 }
 
 void simulation::run() {
-    std::unique_lock<std::mutex> lk(mu_);
     AURORA_CHECK_MSG(!started_, "simulation::run() may only be called once");
     started_ = true;
-    schedule_next_locked(nullptr);
-    done_cv_.wait(lk, [&] { return done_; });
-    lk.unlock();
-    for (auto& p : processes_) {
-        if (p->thread_.joinable()) {
-            p->thread_.join();
-        }
+    main_fiber_ = std::make_unique<detail::fiber>();
+
+    process* first = pick_next(nullptr);
+    if (first == nullptr && aborted_) {
+        first = next_to_unwind();
     }
+    if (first != nullptr) {
+        switch_to(nullptr, first);
+        resumed();
+    }
+    AURORA_ASSERT(done_);
+    main_fiber_.reset();
     if (error_ != nullptr) {
         std::rethrow_exception(error_);
     }
 }
 
-void simulation::make_ready_locked(process& p, time_ns wake) {
+void simulation::make_ready(process& p, time_ns wake) {
     if (p.st_ == process::state::finished) {
         return; // e.g. a join waiter unwound by an abort before its wake-up
     }
@@ -126,20 +102,7 @@ void simulation::make_ready_locked(process& p, time_ns wake) {
     p.ready_seq_ = ++ready_seq_counter_;
 }
 
-void simulation::schedule_next_locked(process* leaving) {
-    if (aborted_) {
-        running_proc_ = nullptr;
-        const bool all_finished =
-            std::all_of(processes_.begin(), processes_.end(), [](const auto& p) {
-                return p->st_ == process::state::finished;
-            });
-        if (all_finished) {
-            done_ = true;
-            done_cv_.notify_all();
-        }
-        return;
-    }
-
+process* simulation::pick_next(process* leaving) {
     process* best = nullptr;
     for (auto& p : processes_) {
         if (p->st_ != process::state::ready) {
@@ -152,19 +115,18 @@ void simulation::schedule_next_locked(process* leaving) {
     }
     if (best != nullptr) {
         if (deadline_ != 0 && best->wake_ > deadline_) {
-            abort_locked(std::make_exception_ptr(simulation_error(
+            abort(std::make_exception_ptr(simulation_error(
                 "virtual deadline of " + std::to_string(deadline_) +
                 " ns exceeded (next wake-up at " + std::to_string(best->wake_) +
                 " ns in '" + best->name_ + "')")));
-            return;
+            return nullptr;
         }
         if (best != leaving) {
             ++stats_.context_switches;
         }
         running_proc_ = best;
         clock_ = std::max(clock_, best->wake_);
-        best->cv_.notify_one();
-        return;
+        return best;
     }
 
     running_proc_ = nullptr;
@@ -174,50 +136,112 @@ void simulation::schedule_next_locked(process* leaving) {
         });
     if (all_finished) {
         done_ = true;
-        done_cv_.notify_all();
-        return;
+        return nullptr;
     }
-    abort_locked(std::make_exception_ptr(simulation_error(deadlock_report_locked())));
+    abort(std::make_exception_ptr(simulation_error(deadlock_report())));
+    return nullptr;
 }
 
-void simulation::abort_locked(std::exception_ptr error) {
+process* simulation::next_to_unwind() {
+    for (auto& p : processes_) {
+        if (p->fiber_ != nullptr && p->st_ != process::state::finished) {
+            running_proc_ = p.get();
+            return p.get();
+        }
+    }
+    // Whatever never started never runs its body.
+    for (auto& p : processes_) {
+        p->st_ = process::state::finished;
+    }
+    running_proc_ = nullptr;
+    done_ = true;
+    return nullptr;
+}
+
+void simulation::abort(std::exception_ptr error) {
     if (error_ == nullptr) {
         error_ = std::move(error);
     }
     aborted_ = true;
-    for (auto& p : processes_) {
-        p->cv_.notify_all();
-    }
-    done_cv_.notify_all();
 }
 
-void simulation::wait_for_grant_locked(std::unique_lock<std::mutex>& lk, process& me) {
-    while (running_proc_ != &me && !aborted_) {
-        me.cv_.wait(lk);
-    }
+void simulation::suspend(process& me) {
+    process* next = pick_next(&me);
     if (aborted_) {
-        throw simulation_aborted{};
+        throw simulation_aborted{}; // `me` unwinds first, then the others
+    }
+    if (next != &me) {
+        switch_to(&me, next);
+        resumed();
+        if (aborted_) {
+            throw simulation_aborted{};
+        }
     }
     me.st_ = process::state::running;
     me.now_ = me.wake_;
 }
 
-void simulation::block_current_locked(std::unique_lock<std::mutex>& lk, process& me) {
+void simulation::block_current(process& me) {
+    if (aborted_) {
+        throw simulation_aborted{};
+    }
     AURORA_ASSERT(running_proc_ == &me);
     me.st_ = process::state::blocked;
-    schedule_next_locked(&me);
-    wait_for_grant_locked(lk, me);
+    suspend(me);
 }
 
-void simulation::reschedule_current_locked(std::unique_lock<std::mutex>& lk, process& me,
-                                           duration_ns d) {
+void simulation::reschedule_current(process& me, duration_ns d) {
+    if (aborted_) {
+        throw simulation_aborted{};
+    }
     AURORA_ASSERT(running_proc_ == &me);
-    make_ready_locked(me, me.now_ + d);
-    schedule_next_locked(&me);
-    wait_for_grant_locked(lk, me);
+    make_ready(me, me.now_ + d);
+    suspend(me);
 }
 
-std::string simulation::deadlock_report_locked() const {
+void simulation::finish(process& me, std::exception_ptr error) {
+    if (error != nullptr) {
+        abort(std::move(error));
+    }
+    me.st_ = process::state::finished;
+    for (process* w : me.join_waiters_) {
+        make_ready(*w, std::max(w->now_, me.now_));
+    }
+    me.join_waiters_.clear();
+    process* next = aborted_ ? nullptr : pick_next(&me);
+    if (aborted_) {
+        next = next_to_unwind();
+    }
+    exited_ = &me;
+    switch_to(&me, next, /*from_exits=*/true);
+    unreachable("a finished process was resumed");
+}
+
+void simulation::switch_to(process* from, process* to, bool from_exits) {
+    if (to != nullptr && to->fiber_ == nullptr) {
+        to->fiber_ = std::make_unique<detail::fiber>(&process::fiber_main);
+    }
+    detail::fiber& src = from != nullptr ? *from->fiber_ : *main_fiber_;
+    detail::fiber& dst = to != nullptr ? *to->fiber_ : *main_fiber_;
+    context_slots* const left =
+        install_context_slots(to != nullptr ? &to->slots_ : outer_slots_);
+    if (from == nullptr) {
+        // Leaving run(): remember what to reinstall when coming back.
+        outer_slots_ = left;
+        outer_current_ = tl_current;
+    }
+    tl_current = to != nullptr ? to : outer_current_;
+    detail::fiber::switch_to(src, dst, from_exits);
+}
+
+void simulation::resumed() {
+    if (exited_ != nullptr) {
+        exited_->fiber_.reset();
+        exited_ = nullptr;
+    }
+}
+
+std::string simulation::deadlock_report() const {
     std::ostringstream os;
     os << "simulation deadlock: no runnable process at t=" << clock_ << " ns;";
     for (const auto& p : processes_) {
@@ -246,8 +270,7 @@ time_ns now() {
 void advance(duration_ns d) {
     AURORA_CHECK_MSG(d >= 0, "advance duration must be non-negative, got " << d);
     process& me = self();
-    std::unique_lock<std::mutex> lk(me.sim_.mu_);
-    me.sim_.reschedule_current_locked(lk, me, d);
+    me.sim_.reschedule_current(me, d);
 }
 
 void sleep_until(time_ns t) {
@@ -258,12 +281,11 @@ void sleep_until(time_ns t) {
 void join(process& p) {
     process& me = self();
     AURORA_CHECK_MSG(&p != &me, "a process cannot join itself");
-    std::unique_lock<std::mutex> lk(me.sim_.mu_);
     if (p.st_ == process::state::finished) {
         return;
     }
     p.join_waiters_.push_back(&me);
-    me.sim_.block_current_locked(lk, me);
+    me.sim_.block_current(me);
 }
 
 } // namespace aurora::sim

@@ -1,10 +1,15 @@
 // Cooperative discrete-event simulation engine.
 //
 // The engine runs simulated processes (e.g. the Vector Host application
-// process and each Vector Engine process) as OS threads, but schedules them
-// cooperatively: exactly one process executes at any instant, and the
-// scheduler always resumes the runnable process with the smallest virtual
-// wake-up time (ties broken by ready order, so runs are deterministic).
+// process and each Vector Engine process) as fibers on the thread that calls
+// simulation::run(): each process has its own stack, and the engine switches
+// stacks with swapcontext. Scheduling is cooperative: exactly one process
+// executes at any instant, and the scheduler always resumes the runnable
+// process with the smallest virtual wake-up time (ties broken by ready
+// order, so runs are deterministic). State that must follow the running
+// process rather than the OS thread lives in aurora::context_local
+// (util/context_local.hpp); the engine installs each process's slot table
+// when it resumes the process.
 //
 // Consequences relied upon throughout the codebase:
 //   * Shared state touched by multiple simulated processes needs no locking —
@@ -15,17 +20,16 @@
 //     timing comes from the calibrated cost model.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/context_local.hpp"
 
 namespace aurora::sim {
 
@@ -33,8 +37,12 @@ class simulation;
 class event;
 class condition;
 
+namespace detail {
+class fiber;
+} // namespace detail
+
 /// One simulated process. Created through simulation::spawn(); runs its body
-/// on a dedicated OS thread under the cooperative scheduler.
+/// on a stack of its own under the cooperative scheduler.
 class process {
 public:
     using body_fn = std::function<void()>;
@@ -62,7 +70,9 @@ private:
     enum class state { ready, running, blocked, finished };
 
     process(simulation& sim, std::uint32_t id, std::string name, body_fn body);
-    void thread_main();
+    /// Entry of every process fiber; runs the body of the process the
+    /// engine just resumed, then switches away for good.
+    static void fiber_main();
 
     simulation& sim_;
     std::uint32_t id_;
@@ -72,9 +82,10 @@ private:
     time_ns now_ = 0;          // process-local clock
     time_ns wake_ = 0;         // scheduled resume time while ready
     std::uint64_t ready_seq_ = 0;
-    std::condition_variable cv_;
     std::vector<process*> join_waiters_;
-    std::thread thread_;
+    /// Created on the first resume, released once the process finished.
+    std::unique_ptr<detail::fiber> fiber_;
+    context_slots slots_; ///< this process's context_local values
 };
 
 /// Thrown inside process bodies when the simulation aborts (another process
@@ -135,20 +146,36 @@ private:
     friend void advance(duration_ns);
     friend void join(process&);
 
-    // All private methods below require lk to hold mu_.
-    void make_ready_locked(process& p, time_ns wake);
-    void schedule_next_locked(process* leaving);
-    void abort_locked(std::exception_ptr error);
-    void wait_for_grant_locked(std::unique_lock<std::mutex>& lk, process& me);
-    void block_current_locked(std::unique_lock<std::mutex>& lk, process& me);
-    void reschedule_current_locked(std::unique_lock<std::mutex>& lk, process& me,
-                                   duration_ns d);
-    [[nodiscard]] std::string deadlock_report_locked() const;
+    void make_ready(process& p, time_ns wake);
+    /// The process to run after `leaving` stops (nullptr: return to run()).
+    /// Counts a context switch when that is another process; aborts on a
+    /// passed virtual deadline or a deadlock.
+    [[nodiscard]] process* pick_next(process* leaving);
+    /// After an abort: the next started, unfinished process to resume so it
+    /// unwinds, or nullptr once none is left.
+    [[nodiscard]] process* next_to_unwind();
+    void abort(std::exception_ptr error);
+    /// `me` stops running (blocked or rescheduled): run others until `me`
+    /// is picked again. Throws simulation_aborted after an abort.
+    void suspend(process& me);
+    void block_current(process& me);
+    void reschedule_current(process& me, duration_ns d);
+    /// `me` finished: wake its joiners and switch away for good.
+    [[noreturn]] void finish(process& me, std::exception_ptr error);
+    /// Switch from `from` to `to` (nullptr: the context of run()).
+    void switch_to(process* from, process* to, bool from_exits = false);
+    /// Back on the CPU after a switch: free the stack of a process that
+    /// finished in the meantime.
+    void resumed();
+    [[nodiscard]] std::string deadlock_report() const;
 
-    std::mutex mu_;
-    std::condition_variable done_cv_;
     std::vector<std::unique_ptr<process>> processes_;
     process* running_proc_ = nullptr;
+    /// The context that called run(), and what it had installed.
+    std::unique_ptr<detail::fiber> main_fiber_;
+    process* outer_current_ = nullptr;
+    context_slots* outer_slots_ = nullptr;
+    process* exited_ = nullptr; ///< finished; its stack awaits release
     time_ns clock_ = 0;
     std::uint64_t ready_seq_counter_ = 0;
     time_ns deadline_ = 0;
@@ -159,7 +186,7 @@ private:
     std::exception_ptr error_;
 };
 
-// --- Context functions (valid only on a simulated process's thread) --------
+// --- Context functions (valid only inside a simulated process) -------------
 
 /// True when called from within a simulated process body.
 [[nodiscard]] bool in_simulation() noexcept;

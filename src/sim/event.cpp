@@ -7,7 +7,6 @@ namespace aurora::sim {
 void event::set() {
     process& me = self();
     AURORA_CHECK(&me.sim_ == &sim_);
-    std::unique_lock<std::mutex> lk(sim_.mu_);
     if (set_) {
         return;
     }
@@ -15,7 +14,7 @@ void event::set() {
     set_time_ = me.now_;
     ++sim_.stats_.events_notified;
     for (process* w : waiters_) {
-        sim_.make_ready_locked(*w, std::max(w->now_, me.now_));
+        sim_.make_ready(*w, std::max(w->now_, me.now_));
     }
     waiters_.clear();
 }
@@ -23,22 +22,20 @@ void event::set() {
 void event::wait() {
     process& me = self();
     AURORA_CHECK(&me.sim_ == &sim_);
-    std::unique_lock<std::mutex> lk(sim_.mu_);
     if (set_) {
         me.now_ = std::max(me.now_, set_time_);
         return;
     }
     waiters_.push_back(&me);
-    sim_.block_current_locked(lk, me);
+    sim_.block_current(me);
 }
 
 void condition::notify_all() {
     process& me = self();
     AURORA_CHECK(&me.sim_ == &sim_);
-    std::unique_lock<std::mutex> lk(sim_.mu_);
     ++sim_.stats_.events_notified;
     for (process* w : waiters_) {
-        sim_.make_ready_locked(*w, std::max(w->now_, me.now_));
+        sim_.make_ready(*w, std::max(w->now_, me.now_));
     }
     waiters_.clear();
 }
@@ -46,9 +43,8 @@ void condition::notify_all() {
 void condition::wait_notification() {
     process& me = self();
     AURORA_CHECK(&me.sim_ == &sim_);
-    std::unique_lock<std::mutex> lk(sim_.mu_);
     waiters_.push_back(&me);
-    sim_.block_current_locked(lk, me);
+    sim_.block_current(me);
 }
 
 } // namespace aurora::sim

@@ -4,22 +4,23 @@
 
 #include "metrics/metrics.hpp"
 #include "sim/engine.hpp"
+#include "util/context_local.hpp"
 #include "util/env.hpp"
 
 namespace aurora::trace {
 
 namespace detail {
 
-std::atomic<int> g_mode{0};
+int g_mode = 0;
 
 bool latch_enabled() {
     // Racing threads may both read the environment; they latch the same
     // value, so the compare-exchange below is only cosmetic.
     const bool on = env_flag("HAM_AURORA_TRACE", false);
     int expected = 0;
-    g_mode.compare_exchange_strong(expected, on ? 2 : 1,
-                                   std::memory_order_relaxed);
-    return g_mode.load(std::memory_order_relaxed) == 2;
+    __atomic_compare_exchange_n(&g_mode, &expected, on ? 2 : 1, false,
+                                __ATOMIC_RELAXED, __ATOMIC_RELAXED);
+    return __atomic_load_n(&g_mode, __ATOMIC_RELAXED) == 2;
 }
 
 namespace {
@@ -33,18 +34,16 @@ std::size_t lane_capacity() {
     return cap;
 }
 
-struct thread_cache {
-    lane* l = nullptr;
-    std::uint64_t gen = 0;
-};
-
-thread_local thread_cache t_cache;
+/// The running process's (or plain thread's) lane and the collector
+/// generation it was registered in.
+const context_local<lane*> t_lane;
+const context_local<std::uint64_t> t_lane_gen;
 
 } // namespace
 } // namespace detail
 
 void set_enabled(bool on) noexcept {
-    detail::g_mode.store(on ? 2 : 1, std::memory_order_relaxed);
+    __atomic_store_n(&detail::g_mode, on ? 2 : 1, __ATOMIC_RELAXED);
 }
 
 std::uint64_t clock_ns() noexcept {
@@ -63,21 +62,23 @@ collector& collector::instance() {
     return c;
 }
 
-lane& collector::lane_for_this_thread() {
+lane& collector::current_lane() {
     const std::uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (detail::t_cache.l != nullptr && detail::t_cache.gen == gen) {
-        return *detail::t_cache.l;
+    lane* cached = detail::t_lane.get();
+    if (cached != nullptr && detail::t_lane_gen.get() == gen) {
+        return *cached;
     }
     std::lock_guard<std::mutex> lock(mu_);
     auto owned = std::make_unique<lane>(detail::lane_capacity());
     lane* l = owned.get();
     l->tid = static_cast<std::uint32_t>(lanes_.size());
-    // Simulated processes make the best lane names (one OS thread each);
-    // plain threads get a positional name.
+    // Simulated processes make the best lane names (one lane each); plain
+    // threads get a positional name.
     l->name = sim::in_simulation() ? sim::self().name()
                                    : "thread-" + std::to_string(l->tid);
     lanes_.push_back(std::move(owned));
-    detail::t_cache = {l, gen};
+    detail::t_lane.set(l);
+    detail::t_lane_gen.set(gen);
     return *l;
 }
 
@@ -99,7 +100,7 @@ std::vector<collector::lane_snapshot> collector::snapshot() const {
 void collector::reset() {
     std::lock_guard<std::mutex> lock(mu_);
     lanes_.clear();
-    // Invalidate every thread's cached lane pointer.
+    // Invalidate every cached lane pointer.
     generation_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -107,14 +108,11 @@ void emit(const event& e) {
     if (!enabled()) {
         return;
     }
-    collector::instance().lane_for_this_thread().buf.push(e);
+    collector::instance().current_lane().buf.push(e);
 }
 
 void count(const char* cat, const char* name, std::uint64_t delta) {
-    metrics::trace_bridge_counter(cat, name).add(delta);
-    if (enabled()) {
-        emit({cat, name, clock_ns(), 0, delta, 0, event_type::counter});
-    }
+    count(metrics::trace_bridge_counter(cat, name), cat, name, delta);
 }
 
 void emit_span(const char* cat, const char* name, std::uint64_t ts_ns,

@@ -1,15 +1,18 @@
 // aurora::trace — low-overhead, env-gated event tracing for the whole stack.
 //
 // Both sides of an offload (the VH runtime and every simulated target
-// process) record fixed-size events into per-thread lock-free ring buffers;
+// process) record fixed-size events into lock-free ring buffers, one lane per
+// simulated process (and one per plain thread outside a simulation);
 // exporters turn the collected lanes into a Chrome trace-event JSON
 // (chrome://tracing, Perfetto) or an aggregated latency/counter summary
 // (see chrome_export.hpp / summary.hpp, docs/TRACING.md).
 //
 // Cost discipline:
 //   * disabled (HAM_AURORA_TRACE unset): every macro is one relaxed atomic
-//     load plus a predictable branch — bench_trace_overhead pins this at
-//     well under 1% of the cheapest offload hot path;
+//     load plus a predictable branch (a counter adds one single-writer
+//     metrics update through a bridge counter it resolved once per call
+//     site) — bench_trace_overhead pins this at well under 1% of the
+//     cheapest offload hot path;
 //   * enabled: one clock read and one ring-buffer store per event, still
 //     lock-free and allocation-free on the hot path;
 //   * compiled out (-DHAM_AURORA_TRACE_DISABLED): the macros vanish.
@@ -25,6 +28,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "metrics/metrics.hpp"
 
 namespace aurora::trace {
 
@@ -52,16 +57,17 @@ struct event {
     event_type type = event_type::instant;
 };
 
-/// Fixed-capacity single-producer ring buffer of events. The owning thread
-/// pushes; readers take a snapshot after the producer quiesced (the
-/// simulation finished / the thread joined). Old events are overwritten on
-/// wrap-around; `dropped()` reports how many.
+/// Fixed-capacity single-producer ring buffer of events. The owning context
+/// (a simulated process or a plain thread) pushes; readers take a snapshot
+/// after the producer quiesced (the simulation finished / the thread
+/// joined). Old events are overwritten on wrap-around; `dropped()` reports
+/// how many.
 class ring_buffer {
 public:
     explicit ring_buffer(std::size_t capacity)
         : slots_(capacity == 0 ? 1 : capacity) {}
 
-    /// Producer side. Owner thread only; never blocks, never allocates.
+    /// Producer side. Owner context only; never blocks, never allocates.
     void push(const event& e) noexcept {
         const std::uint64_t h = head_.load(std::memory_order_relaxed);
         slots_[h % slots_.size()] = e;
@@ -99,7 +105,8 @@ private:
     std::atomic<std::uint64_t> head_{0};
 };
 
-/// One thread's stream of events plus its display identity.
+/// One simulated process's (or plain thread's) stream of events plus its
+/// display identity.
 struct lane {
     explicit lane(std::size_t capacity) : buf(capacity) {}
     std::string name;      ///< simulated process name or "thread-<tid>"
@@ -107,15 +114,15 @@ struct lane {
     ring_buffer buf;
 };
 
-/// Process-wide registry of lanes. Lanes are created lazily per thread and
-/// kept alive until reset() so exporters can read them after the producing
-/// threads exited.
+/// Process-wide registry of lanes. Lanes are created lazily, one per
+/// simulated process and one per plain thread, and kept alive until reset()
+/// so exporters can read them after the producers finished.
 class collector {
 public:
     [[nodiscard]] static collector& instance();
 
-    /// The calling thread's lane (registered on first use).
-    [[nodiscard]] lane& lane_for_this_thread();
+    /// The calling process's or thread's lane (registered on first use).
+    [[nodiscard]] lane& current_lane();
 
     struct lane_snapshot {
         std::string name;
@@ -128,7 +135,7 @@ public:
     /// quiesced (simulation finished, threads joined).
     [[nodiscard]] std::vector<lane_snapshot> snapshot() const;
 
-    /// Drop all lanes (tests). Live threads transparently re-register.
+    /// Drop all lanes (tests). Live producers transparently re-register.
     void reset();
 
 private:
@@ -140,15 +147,17 @@ private:
 };
 
 namespace detail {
-/// 0 = not latched yet, 1 = disabled, 2 = enabled.
-extern std::atomic<int> g_mode;
+/// 0 = not latched yet, 1 = disabled, 2 = enabled. Accessed with relaxed
+/// __atomic builtins, like the metrics shards (see metrics.hpp): the
+/// disabled-site overhead gate also runs in unoptimised sanitizer builds.
+extern int g_mode;
 [[nodiscard]] bool latch_enabled();
 } // namespace detail
 
 /// Global switch, latched from HAM_AURORA_TRACE on first use. One relaxed
 /// load on the hot path.
-[[nodiscard]] inline bool enabled() noexcept {
-    const int m = detail::g_mode.load(std::memory_order_relaxed);
+[[nodiscard, gnu::always_inline]] inline bool enabled() noexcept {
+    const int m = __atomic_load_n(&detail::g_mode, __ATOMIC_RELAXED);
     if (m == 0) {
         return detail::latch_enabled();
     }
@@ -176,6 +185,17 @@ void emit_span(const char* cat, const char* name, std::uint64_t ts_ns,
 /// the metrics bridge keys its lock-free cache on their pointer identity.
 void count(const char* cat, const char* name, std::uint64_t delta = 1);
 
+/// count() through a bridge counter the caller resolved already
+/// (AURORA_TRACE_COUNTER resolves it once per call site).
+[[gnu::always_inline]] inline void count(metrics::counter& bridged,
+                                         const char* cat, const char* name,
+                                         std::uint64_t delta) {
+    bridged.add(delta);
+    if (enabled()) {
+        emit({cat, name, clock_ns(), 0, delta, 0, event_type::counter});
+    }
+}
+
 inline void instant(const char* cat, const char* name) {
     if (enabled()) {
         emit({cat, name, clock_ns(), 0, 0, 0, event_type::instant});
@@ -185,10 +205,10 @@ inline void instant(const char* cat, const char* name) {
 /// RAII span: records [construction, destruction] on the current lane.
 class scoped_span {
 public:
-    scoped_span(const char* cat, const char* name) noexcept
+    [[gnu::always_inline]] scoped_span(const char* cat, const char* name) noexcept
         : cat_(cat), name_(name), active_(enabled()),
           t0_(active_ ? clock_ns() : 0) {}
-    ~scoped_span() {
+    [[gnu::always_inline]] ~scoped_span() {
         if (active_) {
             finish();
         }
@@ -230,6 +250,10 @@ void flush_to_env();
     const ::aurora::trace::scoped_span AURORA_TRACE_DETAIL_CAT(                \
         aurora_trace_span_, __LINE__)(cat, name)
 #define AURORA_TRACE_COUNTER(cat, name, delta)                                 \
-    ::aurora::trace::count(cat, name, delta)
+    do {                                                                       \
+        static ::aurora::metrics::counter& aurora_trace_bridged_ =             \
+            ::aurora::metrics::trace_bridge_counter(cat, name);                \
+        ::aurora::trace::count(aurora_trace_bridged_, cat, name, delta);       \
+    } while (false)
 #define AURORA_TRACE_INSTANT(cat, name) ::aurora::trace::instant(cat, name)
 #endif

@@ -512,5 +512,83 @@ TEST(AdmitServer, ReplaysDeterministically) {
     EXPECT_FALSE(first.log.empty());
 }
 
+/// WFQ across four live sessions (two weighted batch sessions, one latency,
+/// one background) with queued deadlines. Before, between and after the live
+/// sessions, `churn` sessions open, queue one request and close again, so
+/// their ids fall between the live ids and their work is shed on close. The
+/// window holds three, so one dispatch pass serves several sessions.
+run_trace churned_wfq(std::size_t churn) {
+    run_trace out;
+    server srv(small_cfg(4096, 3));
+    std::uint64_t prefill_done = 0;
+    std::vector<request> holds;
+    for (int i = 0; i < 3; ++i) {
+        holds.push_back(occupy_window(srv, 1'000'000, &prefill_done));
+    }
+    std::vector<int> churn_log;
+    auto open_and_close = [&] {
+        for (std::size_t i = 0; i < churn; ++i) {
+            session_options o;
+            o.tenant = "churn";
+            o.cls = static_cast<qos_class>(i % num_qos_classes);
+            const session_id sid = srv.open(o);
+            (void)srv.submit(sid, ham::f2f<&tk::record>(&churn_log, -1));
+            srv.close(sid);
+            const session_stats st = srv.stats(sid); // answers after close
+            EXPECT_FALSE(st.open);
+            EXPECT_EQ(st.shed, 1u);
+        }
+    };
+    session_options heavy, light, lat, bg;
+    heavy.cls = light.cls = qos_class::batch;
+    heavy.weight = 3;
+    lat.cls = qos_class::latency;
+    bg.cls = qos_class::background;
+    std::vector<session_id> live;
+    for (const session_options& o : {heavy, light, lat, bg}) {
+        open_and_close();
+        live.push_back(srv.open(o));
+    }
+    open_and_close();
+
+    for (int i = 0; i < 6; ++i) {
+        for (std::size_t k = 0; k < live.size(); ++k) {
+            request_options ro;
+            if (i % 3 == 2) {
+                ro.deadline_ns = sim::now() + 10'000; // expires while queued
+            }
+            (void)srv.submit(live[k], ham::f2f<&tk::record>(
+                                          &out.log, 100 * int(k) + i),
+                             ro);
+        }
+    }
+    srv.drain();
+    EXPECT_TRUE(churn_log.empty()); // shed on close, never dispatched
+    for (const session_id sid : live) {
+        const session_stats st = srv.stats(sid);
+        out.stats.insert(out.stats.end(), {st.admitted, st.completed, st.shed,
+                                           st.expired, st.failed});
+    }
+    out.backlog = srv.backlog();
+    return out;
+}
+
+TEST(AdmitServer, ClosedSessionsBetweenLiveOnesLeaveWfqUnchanged) {
+    run_trace plain, churned;
+    run_sched(1, [&] { plain = churned_wfq(0); });
+    run_sched(1, [&] { churned = churned_wfq(200); }); // 1,000 closed sessions
+    EXPECT_EQ(plain.log, churned.log);     // dispatch order
+    EXPECT_EQ(plain.stats, churned.stats); // shares and expiries
+    EXPECT_EQ(churned.backlog, 0u);
+    // Not vacuous: every live session got work through, and some expired.
+    ASSERT_EQ(plain.stats.size(), 20u);
+    std::uint64_t expired = 0;
+    for (std::size_t k = 0; k < 4; ++k) {
+        EXPECT_GT(plain.stats[5 * k + 1], 0u);
+        expired += plain.stats[5 * k + 3];
+    }
+    EXPECT_GT(expired, 0u);
+}
+
 } // namespace
 } // namespace aurora::admit
