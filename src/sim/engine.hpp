@@ -3,13 +3,13 @@
 // The engine runs simulated processes (e.g. the Vector Host application
 // process and each Vector Engine process) as fibers on the thread that calls
 // simulation::run(): each process has its own stack, and the engine switches
-// stacks with swapcontext. Scheduling is cooperative: exactly one process
-// executes at any instant, and the scheduler always resumes the runnable
-// process with the smallest virtual wake-up time (ties broken by ready
-// order, so runs are deterministic). State that must follow the running
-// process rather than the OS thread lives in aurora::context_local
-// (util/context_local.hpp); the engine installs each process's slot table
-// when it resumes the process.
+// stacks in user space, on x86-64 without a system call (sim/fiber.hpp).
+// Scheduling is cooperative: exactly one process executes at any instant,
+// and the scheduler always resumes the runnable process with the smallest
+// virtual wake-up time (ties broken by ready order, so runs are
+// deterministic). State that must follow the running process rather than
+// the OS thread lives in aurora::context_local (util/context_local.hpp); the
+// engine installs each process's slot table when it resumes the process.
 //
 // Consequences relied upon throughout the codebase:
 //   * Shared state touched by multiple simulated processes needs no locking —

@@ -4,6 +4,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -29,6 +30,47 @@
 #endif
 #if defined(AURORA_FIBER_TSAN)
 #include <sanitizer/tsan_interface.h>
+#endif
+
+#if defined(__x86_64__)
+// void aurora_sim_fiber_switch(void** save_sp, void* load_sp)
+//
+// Pushes rbp, rbx, r12-r15 and one word holding MXCSR (low half) and the x87
+// control word, stores rsp to *save_sp, then loads load_sp into rsp and pops
+// the same frame from there. Its `ret` returns into the other fiber's own
+// call of this routine, or into the entry of a fresh stack (see the frame
+// that fiber(entry) builds). It carries no CFI: no unwinder runs while a
+// switch is in progress.
+extern "C" void aurora_sim_fiber_switch(void** save_sp, void* load_sp) noexcept;
+asm(".pushsection .text\n"
+    ".p2align 4\n"
+    ".globl aurora_sim_fiber_switch\n"
+    ".hidden aurora_sim_fiber_switch\n"
+    ".type aurora_sim_fiber_switch, @function\n"
+    "aurora_sim_fiber_switch:\n"
+    "    pushq %rbp\n"
+    "    pushq %rbx\n"
+    "    pushq %r12\n"
+    "    pushq %r13\n"
+    "    pushq %r14\n"
+    "    pushq %r15\n"
+    "    subq $8, %rsp\n"
+    "    stmxcsr (%rsp)\n"
+    "    fnstcw 4(%rsp)\n"
+    "    movq %rsp, (%rdi)\n"
+    "    movq %rsi, %rsp\n"
+    "    ldmxcsr (%rsp)\n"
+    "    fldcw 4(%rsp)\n"
+    "    addq $8, %rsp\n"
+    "    popq %r15\n"
+    "    popq %r14\n"
+    "    popq %r13\n"
+    "    popq %r12\n"
+    "    popq %rbx\n"
+    "    popq %rbp\n"
+    "    ret\n"
+    ".size aurora_sim_fiber_switch, .-aurora_sim_fiber_switch\n"
+    ".popsection\n");
 #endif
 
 namespace aurora::sim::detail {
@@ -61,11 +103,27 @@ fiber::fiber(void (*entry)()) {
     AURORA_CHECK(mprotect(map_, page, PROT_NONE) == 0); // guard page
     stack_bottom_ = static_cast<char*>(map_) + page;
     stack_size_ = stack_reserve;
+#if defined(__x86_64__)
+    // The frame the first switch pops, lowest address first: this context's
+    // MXCSR and x87 control word, six zeroed callee-saved registers (a null
+    // rbp ends frame-pointer backtraces), `entry` for the switch's `ret`, and
+    // a null return address for `entry`. The top of the mapping is 16-byte
+    // aligned, so after the `ret` rsp == 8 (mod 16), as at any function entry.
+    std::uint32_t mxcsr = 0;
+    std::uint16_t x87_control = 0;
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87_control));
+    const std::uint64_t frame[9] = {
+        mxcsr | std::uint64_t{x87_control} << 32, 0, 0, 0, 0, 0, 0,
+        reinterpret_cast<std::uintptr_t>(entry), 0};
+    sp_ = static_cast<char*>(map_) + map_bytes_ - sizeof(frame);
+    std::memcpy(sp_, frame, sizeof(frame));
+#else
     AURORA_CHECK(getcontext(&ctx_) == 0);
     ctx_.uc_stack.ss_sp = static_cast<char*>(map_) + page;
     ctx_.uc_stack.ss_size = stack_reserve;
     ctx_.uc_link = nullptr;
     makecontext(&ctx_, entry, 0);
+#endif
 #if defined(AURORA_FIBER_TSAN)
     tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -100,7 +158,11 @@ void fiber::switch_to(fiber& from, fiber& to, bool from_exits) {
 #if defined(AURORA_FIBER_TSAN)
     __tsan_switch_to_fiber(to.tsan_fiber_, 0);
 #endif
+#if defined(__x86_64__)
+    aurora_sim_fiber_switch(&from.sp_, to.sp_);
+#else
     AURORA_CHECK(swapcontext(&from.ctx_, &to.ctx_) == 0);
+#endif
 #if defined(AURORA_FIBER_ASAN)
     // Resumed: learn the bounds of the stack we came from (this is how the
     // thread's own stack gets known before anything switches back to it).

@@ -2,8 +2,19 @@
 //
 // A fiber is either the context that called simulation::run() (the thread's
 // own stack) or a simulated process with an mmap'd stack of its own. The
-// engine switches between them with swapcontext on one OS thread. A switch
-// also swaps what is per OS thread but must follow the fiber:
+// engine switches between them on one OS thread. On x86-64 a switch is a
+// short assembly routine that saves the System V callee-saved registers
+// (rbx, rbp, r12-r15), MXCSR and the x87 control word on the outgoing stack,
+// swaps stack pointers and restores the same from the incoming stack, so
+// the floating-point control state (rounding mode, exception masks) follows
+// each fiber. Unlike swapcontext it neither saves nor restores the signal
+// mask, which would cost one system call per switch: nothing in the
+// simulator changes the signal mask. Nor does it switch a CET shadow stack,
+// so fibers do not support shadow stacks (they are opt-in through a glibc
+// tunable). Other architectures switch with getcontext/makecontext/
+// swapcontext.
+//
+// A switch also swaps what is per OS thread but must follow the fiber:
 //   * libstdc++'s exception globals (__cxa_get_globals: the caught-exception
 //     stack and std::uncaught_exceptions()), so a process suspended inside a
 //     catch block or in the middle of unwinding keeps its own;
@@ -11,7 +22,9 @@
 //     understand the switch.
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 
@@ -22,9 +35,10 @@ public:
     /// The calling thread's current context; resumable once switched away.
     fiber();
     /// A fresh stack (8 MiB reserved behind a guard page; only touched pages
-    /// become resident) that runs `entry` when first resumed. `entry` must
-    /// call started() first and must never return: it leaves with
-    /// switch_to(..., true).
+    /// become resident) that runs `entry` when first resumed, with the
+    /// floating-point control state of the context that constructs it.
+    /// `entry` must call started() first and must never return: it leaves
+    /// with switch_to(..., true).
     explicit fiber(void (*entry)());
     ~fiber();
     fiber(const fiber&) = delete;
@@ -45,7 +59,11 @@ private:
         unsigned int uncaught_exceptions = 0;
     };
 
+#if defined(__x86_64__)
+    void* sp_ = nullptr; ///< stack pointer of the saved state while suspended
+#else
     ucontext_t ctx_{};
+#endif
     void* map_ = nullptr; ///< stack mapping, guard page first (own stacks)
     std::size_t map_bytes_ = 0;
     eh_globals eh_; ///< this context's exception globals while suspended

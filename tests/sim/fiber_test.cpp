@@ -1,8 +1,10 @@
 // Engine tests for what must follow a simulated process across fiber
-// switches: libstdc++'s exception state, context_local values (the HAM
-// execution context and the offload target context), the unwinding of
-// suspended processes on abort, and teardown of a simulation that never ran.
+// switches: libstdc++'s exception state, the floating-point control state,
+// context_local values (the HAM execution context and the offload target
+// context), the unwinding of suspended processes on abort, and teardown of a
+// simulation that never ran.
 #include <algorithm>
+#include <cfenv>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -83,6 +85,39 @@ TEST(EngineFiber, UnwindingStateFollowsTheProcess) {
     EXPECT_EQ(a_during, 1);
     EXPECT_EQ(b_saw, 0);
     EXPECT_TRUE(a_caught);
+}
+
+TEST(EngineFiber, FloatingPointControlFollowsTheProcess) {
+    // Computed at run time under the current rounding mode (SSE for doubles).
+    auto third = [] {
+        volatile double one = 1.0;
+        volatile double three = 3.0;
+        return one / three;
+    };
+    simulation s;
+    int b_mode = -1;
+    int a_mode = -1;
+    double b_third = 0.0;
+    double a_third = 0.0;
+    // "b" runs first, so its stack exists before "a" changes anything.
+    s.spawn("b", [&] {
+        advance(5_ns); // "a" switches to rounding upward meanwhile
+        b_mode = std::fegetround();
+        b_third = third();
+    });
+    s.spawn("a", [&] {
+        std::fesetround(FE_UPWARD);
+        advance(10_ns);
+        a_mode = std::fegetround();
+        a_third = third();
+        std::fesetround(FE_TONEAREST);
+    });
+    s.run();
+    EXPECT_EQ(b_mode, FE_TONEAREST);
+    EXPECT_EQ(b_third, 1.0 / 3.0);
+    EXPECT_EQ(a_mode, FE_UPWARD);
+    EXPECT_GT(a_third, b_third);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 TEST(EngineFiber, EachProcessSeesTheContextItInstalled) {
