@@ -5,7 +5,6 @@
 #include "obs/obs.hpp"
 #include "offload/runtime.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 
@@ -156,7 +155,6 @@ session_id server::open(session_options opts) {
     rec.met->sessions_open->add(1);
     ++open_sessions_;
     sessions_.emplace(sid, std::move(rec));
-    AURORA_TRACE("admit", "session " << sid << " opened");
     return sid;
 }
 
@@ -188,7 +186,6 @@ void server::close(session_id sid) {
     queued_total_ -= s.queue.size();
     s.queue.clear();
     queued_sessions_.erase(sid);
-    AURORA_TRACE("admit", "session " << sid << " closed");
 }
 
 session_stats server::stats(session_id sid) const {

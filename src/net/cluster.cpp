@@ -8,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "offload/app_image.hpp"
 #include "offload/target.hpp"
-#include "sim/trace.hpp"
 #include "util/check.hpp"
 
 namespace aurora::net {
@@ -175,9 +174,6 @@ void cluster::run_gateway(gateway& g) {
         ham::offload::runtime::scope rt_scope(rt);
         g.rt = &rt;
         g.started = true;
-        AURORA_TRACE("net", "gateway node " << g.vh << " up: "
-                                            << opt_.ves_per_node << " VEs, "
-                                            << opt_.link.name << " link");
         gateway_loop(g, rt);
         g.rt = nullptr;
         // runtime destructor: orderly terminate handshake with this node's VEs.
@@ -496,7 +492,8 @@ std::vector<std::byte> cluster::mem_roundtrip(int vh, const mem_request& req,
     const std::uint64_t ticket =
         route_frame(g, req.ve, kind, payload.data(), payload.size());
     std::vector<std::byte> reply;
-    wait_collect(static_cast<node_t>(vh), ticket, 0, reply);
+    wait_collect_until(static_cast<node_t>(vh), ticket, 0, reply,
+                       ham::offload::detail::no_deadline);
     return reply;
 }
 
@@ -753,13 +750,6 @@ bool cluster::try_collect(node_t node, std::uint64_t ticket,
     g.arrived.erase(it);
     --g.inflight;
     return true;
-}
-
-void cluster::wait_collect(node_t node, std::uint64_t ticket,
-                           std::uint32_t slot, std::vector<std::byte>& out) {
-    while (!try_collect(node, ticket, slot, out)) {
-        sim::advance(origin().costs().local_poll_ns);
-    }
 }
 
 bool cluster::wait_collect_until(node_t node, std::uint64_t ticket,

@@ -207,8 +207,6 @@ public:
     // --- detail::result_source (routed completions) ---------------------------
     bool try_collect(ham::offload::node_t node, std::uint64_t ticket,
                      std::uint32_t slot, std::vector<std::byte>& out) override;
-    void wait_collect(ham::offload::node_t node, std::uint64_t ticket,
-                      std::uint32_t slot, std::vector<std::byte>& out) override;
     bool wait_collect_until(ham::offload::node_t node, std::uint64_t ticket,
                             std::uint32_t slot, std::vector<std::byte>& out,
                             sim::time_ns deadline_ns) override;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -31,15 +32,16 @@ public:
     /// with [result_header][payload].
     virtual bool try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                              std::vector<std::byte>& out) = 0;
-    /// Blocking variant.
-    virtual void wait_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
-                              std::vector<std::byte>& out) = 0;
-    /// Bounded variant: poll until the result arrives or virtual time reaches
+    /// Blocking variant: poll until the result arrives or virtual time reaches
     /// `deadline_ns`; false on timeout (the request stays outstanding).
     virtual bool wait_collect_until(node_t node, std::uint64_t ticket,
                                     std::uint32_t slot, std::vector<std::byte>& out,
                                     sim::time_ns deadline_ns) = 0;
 };
+
+/// Deadline of a wait that only the result (or a target failure) ends.
+inline constexpr sim::time_ns no_deadline =
+    std::numeric_limits<sim::time_ns>::max();
 
 } // namespace detail
 
@@ -214,7 +216,8 @@ public:
         AURORA_CHECK_MSG(valid(), "get() on an invalid future");
         if (!s_->ready) {
             std::vector<std::byte> bytes;
-            s_->src->wait_collect(s_->node, s_->ticket, s_->slot, bytes);
+            s_->src->wait_collect_until(s_->node, s_->ticket, s_->slot, bytes,
+                                        detail::no_deadline);
             absorb(bytes);
         }
         if (s_->callback_error) {

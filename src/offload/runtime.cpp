@@ -8,12 +8,10 @@
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "offload/app_image.hpp"
-#include "offload/backend_loopback.hpp"
-#include "offload/backend_tcp.hpp"
+#include "offload/backend_queue.hpp"
 #include "offload/backend_vedma.hpp"
 #include "offload/backend_veo.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
@@ -55,7 +53,8 @@ struct runtime::target_arena_source final : aurora::mem::region_source {
 
 namespace {
 
-/// The loopback targets share one "other binary" image registry.
+/// The queue backends' targets (loopback and tcp) share one "other binary"
+/// image registry.
 const ham::handler_registry& loopback_target_registry() {
     static const ham::handler_registry reg = ham::handler_registry::build(
         {.address_base = 0x5B0000000000, .layout_seed = 0x10053ACCULL});
@@ -198,20 +197,19 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
             static_cast<std::uint32_t>(std::max<std::int64_t>(*v, 0));
     }
     if (const auto v = aurora::env_int("HAM_AURORA_RETRY_BUDGET_REFILL_NS")) {
-        opt_.retry_budget_refill_ns = std::max<std::int64_t>(*v, 1);
+        opt_.retry_budget_refill_ns = *v;
     }
     if (const auto v = aurora::env_int("HAM_AURORA_RETRY_JITTER")) {
         opt_.retry_jitter = *v != 0;
     }
-    reply_timeout_ns_ = opt_.reply_timeout_ns;
-    max_retries_ = opt_.max_retries;
-    retry_backoff_ns_ = std::max<std::int64_t>(opt_.retry_backoff_ns, 1);
-    retry_budget_ = opt_.retry_budget;
-    retry_budget_refill_ns_ = std::max<std::int64_t>(opt_.retry_budget_refill_ns, 1);
-    retry_jitter_ = opt_.retry_jitter;
+    // The backoff seeds a doubling and the refill period is a divisor: keep
+    // both positive.
+    opt_.retry_backoff_ns = std::max<std::int64_t>(opt_.retry_backoff_ns, 1);
+    opt_.retry_budget_refill_ns =
+        std::max<std::int64_t>(opt_.retry_budget_refill_ns, 1);
     // Recovery needs the pending-wire copies to replay, so it implies the
     // resilient bookkeeping even without an injector or timeouts.
-    resilient_ = inj.active() || reply_timeout_ns_ > 0 || opt_.recovery.enabled;
+    resilient_ = inj.active() || opt_.reply_timeout_ns > 0 || opt_.recovery.enabled;
 
     node_t node = 1;
     for (const int target : opt_.targets) {
@@ -227,11 +225,8 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
             }
             switch (opt_.backend) {
                 case backend_kind::loopback:
-                    state->be = std::make_unique<backend_loopback>(
-                        sim_, loopback_target_registry(), costs_, opt_, gid);
-                    break;
                 case backend_kind::tcp:
-                    state->be = std::make_unique<backend_tcp>(
+                    state->be = std::make_unique<backend_queue>(
                         sim_, loopback_target_registry(), costs_, opt_, gid);
                     break;
                 case backend_kind::veo:
@@ -251,12 +246,10 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
             state->slot_ticket.assign(opt_.msg_slots, 0);
             state->health = target_health::failed;
             state->fail_reason = e.what();
-            AURORA_TRACE("offload",
-                         "node " << gid << " attach failed: " << e.what());
         }
         state->slot_sent_ns.assign(state->slot_ticket.size(), 0);
         state->slot_posted_ns.assign(state->slot_ticket.size(), 0);
-        state->retry_tokens = retry_budget_;
+        state->retry_tokens = opt_.retry_budget;
         state->retry_refill_at = sim::now();
         // Black box: shared across incarnations and runtimes via the
         // process-wide registry, so a postmortem survives our teardown.
@@ -322,7 +315,7 @@ void runtime::shutdown() {
                 post_on_slot(t, node, slot, nullptr, 0,
                              protocol::msg_kind::terminate);
             std::vector<std::byte> ack;
-            wait_collect(node, ticket, slot, ack);
+            wait_collect_until(node, ticket, slot, ack, detail::no_deadline);
         } catch (const target_failed_error&) {
             // The target died during the handshake — fail_target fenced it.
         }
@@ -416,7 +409,6 @@ void runtime::fail_target(node_t node, const std::string& why) {
     set_health(t, target_health::failed);
     t.fail_reason = why;
     t.mttr_pending = false; // the failure never healed; no repair to time
-    AURORA_TRACE("offload", "node " << node << " declared FAILED: " << why);
     AURORA_TRACE_COUNTER("offload", "targets_failed", 1);
     // Fence: make sure the target process exits its loop at the next fault
     // check and stops touching shared state, then tear the transport down.
@@ -489,8 +481,6 @@ void runtime::begin_recovery(target_state& t, node_t node,
         t.mttr_pending = true;
         t.recover_attempts = 0;
         t.fail_reason = why;
-        AURORA_TRACE("offload",
-                     "node " << node << " lost, RECOVERING: " << why);
         AURORA_TRACE_COUNTER("offload", "targets_recovering", 1);
     }
     set_health(t, target_health::recovering);
@@ -573,9 +563,6 @@ bool runtime::maybe_recover(target_state& t, node_t node) {
         AURORA_TRACE_SPAN("offload", "respawn");
         t.be->respawn(epoch);
     } catch (const target_attach_error& e) {
-        AURORA_TRACE("offload", "node " << node << " re-attach "
-                                        << t.recover_attempts << " failed: "
-                                        << e.what());
         if (t.recover_attempts >= opt_.recovery.max_attempts) {
             fail_target(node, std::string("recovery attempts exhausted: ") +
                                   e.what());
@@ -590,9 +577,6 @@ bool runtime::maybe_recover(target_state& t, node_t node) {
     t.ok_streak = 0;
     t.fail_reason.clear();
     t.met.recoveries->add(1);
-    AURORA_TRACE("offload", "node " << node << " respawned, epoch "
-                                    << int(epoch) << ", replaying "
-                                    << t.replay.size() << " messages");
     // Replay in ticket order into slots 0.. — the order the fresh target
     // polls its receive slots. Entries stay queued until their repost lands,
     // so a terminal failure mid-replay still settles every ticket.
@@ -714,7 +698,7 @@ bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node) {
             t.met.corrupt_retries->add(1);
             note_transient_fault(t);
             auto it = t.pending.find(slot);
-            if (it == t.pending.end() || it->second.attempts > max_retries_) {
+            if (it == t.pending.end() || it->second.attempts > opt_.max_retries) {
                 on_failure(t, node, "checksum retries exhausted on slot " +
                                         std::to_string(slot));
                 // Terminal: the synthetic result is in `arrived`. Recovering:
@@ -722,8 +706,6 @@ bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node) {
                 return t.health == target_health::failed;
             }
             pending_send& p = it->second;
-            AURORA_TRACE("offload", "corrupt NACK node " << node << " slot "
-                                                         << slot << ", resend");
             try {
                 attempt_send(t, node, slot, p.wire.data(), p.wire.size(), p.kind,
                              /*retransmit=*/false);
@@ -741,7 +723,6 @@ bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node) {
              t.health == target_health::probation) &&
             ++t.ok_streak >= opt_.recovery_streak) {
             set_health(t, target_health::healthy);
-            AURORA_TRACE("offload", "node " << node << " recovered to healthy");
         }
     }
     if (t.mttr_pending && t.health != target_health::recovering) {
@@ -773,24 +754,24 @@ bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node) {
 }
 
 bool runtime::take_retry_token(target_state& t) {
-    if (retry_budget_ == 0) {
+    if (opt_.retry_budget == 0) {
         return true; // no bucket configured
     }
     // Mint the tokens earned since the last accounting point, then advance
     // that point by exactly the minted amount so fractional progress toward
     // the next token is never lost.
     const sim::time_ns now = sim::now();
-    if (t.retry_tokens < retry_budget_ && now > t.retry_refill_at) {
+    if (t.retry_tokens < opt_.retry_budget && now > t.retry_refill_at) {
         const auto minted = static_cast<std::uint64_t>(
-            (now - t.retry_refill_at) / retry_budget_refill_ns_);
+            (now - t.retry_refill_at) / opt_.retry_budget_refill_ns);
         const std::uint64_t take = std::min<std::uint64_t>(
-            minted, retry_budget_ - t.retry_tokens);
+            minted, opt_.retry_budget - t.retry_tokens);
         t.retry_tokens += static_cast<std::uint32_t>(take);
-        t.retry_refill_at = t.retry_tokens == retry_budget_
+        t.retry_refill_at = t.retry_tokens == opt_.retry_budget
                                 ? now
                                 : t.retry_refill_at +
                                       static_cast<std::int64_t>(take) *
-                                          retry_budget_refill_ns_;
+                                          opt_.retry_budget_refill_ns;
     }
     if (t.retry_tokens == 0) {
         return false;
@@ -804,7 +785,7 @@ io_status runtime::attempt_send(target_state& t, node_t node, std::uint32_t slot
                                 protocol::msg_kind kind, bool retransmit) {
     ensure_sendable(t, node);
     auto& inj = aurora::fault::injector::instance();
-    std::int64_t backoff = retry_backoff_ns_;
+    std::int64_t backoff = opt_.retry_backoff_ns;
     for (std::uint32_t attempt = 0;; ++attempt) {
         io_status st;
         {
@@ -814,7 +795,7 @@ io_status runtime::attempt_send(target_state& t, node_t node, std::uint32_t slot
         if (st == io_status::ok) {
             return io_status::ok;
         }
-        if (st == io_status::down || attempt >= max_retries_) {
+        if (st == io_status::down || attempt >= opt_.max_retries) {
             const std::string why = st == io_status::down
                                         ? "transport down"
                                         : "send retries exhausted on slot " +
@@ -831,15 +812,15 @@ io_status runtime::attempt_send(target_state& t, node_t node, std::uint32_t slot
         note_transient_fault(t);
         while (!take_retry_token(t)) {
             t.met.retries_suppressed->add(1);
-            sim::advance(retry_budget_refill_ns_);
+            sim::advance(opt_.retry_budget_refill_ns);
         }
         sim::advance(backoff);
         // Decorrelated jitter de-synchronises retry herds after a shared
         // stall; plain doubling is kept when injection is off so the
         // established deterministic schedules stay byte-identical.
-        backoff = inj.active() && retry_jitter_
-                      ? inj.jitter_backoff(retry_backoff_ns_, backoff,
-                                           retry_backoff_ns_ << 6)
+        backoff = inj.active() && opt_.retry_jitter
+                      ? inj.jitter_backoff(opt_.retry_backoff_ns, backoff,
+                                           opt_.retry_backoff_ns << 6)
                       : backoff * 2;
     }
 }
@@ -908,9 +889,9 @@ std::uint64_t runtime::post_on_slot(target_state& t, node_t node,
         p.kind = kind;
         p.attempts = 1;
         p.sent_at = sim::now();
-        if (inj.active() && retry_jitter_ && reply_timeout_ns_ > 0) {
+        if (inj.active() && opt_.retry_jitter && opt_.reply_timeout_ns > 0) {
             p.window_jitter_ns = inj.jitter_backoff(
-                1, reply_timeout_ns_ / 6, reply_timeout_ns_ / 2);
+                1, opt_.reply_timeout_ns / 6, opt_.reply_timeout_ns / 2);
         }
         t.pending[slot] = std::move(p);
     }
@@ -918,7 +899,7 @@ std::uint64_t runtime::post_on_slot(target_state& t, node_t node,
 }
 
 void runtime::check_deadlines(target_state& t, node_t node) {
-    if (!resilient_ || reply_timeout_ns_ <= 0 ||
+    if (!resilient_ || opt_.reply_timeout_ns <= 0 ||
         t.health == target_health::failed || t.pending.empty()) {
         return;
     }
@@ -932,12 +913,12 @@ void runtime::check_deadlines(target_state& t, node_t node) {
         // keeps pending slots that stalled together from all retransmitting
         // on the same poll.
         const std::int64_t window =
-            (reply_timeout_ns_ << std::min<std::uint32_t>(p.attempts - 1, 6)) +
+            (opt_.reply_timeout_ns << std::min<std::uint32_t>(p.attempts - 1, 6)) +
             p.window_jitter_ns;
         if (now - p.sent_at < window) {
             continue;
         }
-        if (p.attempts > max_retries_) {
+        if (p.attempts > opt_.max_retries) {
             on_failure(t, node, "reply timeout: retries exhausted on slot " +
                                     std::to_string(slot));
             return; // the failure handler cleared `pending`
@@ -951,9 +932,6 @@ void runtime::check_deadlines(target_state& t, node_t node) {
         }
         t.met.retransmits->add(1);
         note_transient_fault(t);
-        AURORA_TRACE("offload", "reply timeout node "
-                                    << node << " slot " << slot << ", attempt "
-                                    << p.attempts + 1);
         try {
             // Same generation: the receiver still expects it (the lost flag
             // consumed the bump), so a spurious retransmit is idempotent.
@@ -964,9 +942,9 @@ void runtime::check_deadlines(target_state& t, node_t node) {
         }
         ++p.attempts;
         p.sent_at = sim::now();
-        if (inj.active() && retry_jitter_) {
+        if (inj.active() && opt_.retry_jitter) {
             const std::int64_t base =
-                reply_timeout_ns_ << std::min<std::uint32_t>(p.attempts - 1, 6);
+                opt_.reply_timeout_ns << std::min<std::uint32_t>(p.attempts - 1, 6);
             p.window_jitter_ns = inj.jitter_backoff(1, base / 6, base / 2);
         }
     }
@@ -1050,9 +1028,6 @@ runtime::sent_message runtime::send_on_slot(target_state& t, std::uint32_t slot,
     if (kind == protocol::msg_kind::batch) {
         t.met.batches_sent->add(1);
     }
-    AURORA_TRACE("offload", "send msg " << len << " B -> node " << node
-                                        << " slot " << slot << " ticket "
-                                        << ticket);
     return {ticket, slot};
 }
 
@@ -1175,8 +1150,6 @@ bool runtime::try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
     if (live < t.slot_ticket.size()) {
         if (harvest_slot(t, live, node)) {
             if (auto it = t.arrived.find(ticket); it != t.arrived.end()) {
-                AURORA_TRACE("offload", "result <- node " << node << " ticket "
-                                                          << ticket);
                 return deliver(it);
             }
         }
@@ -1193,25 +1166,6 @@ bool runtime::try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
     return false;
 }
 
-void runtime::wait_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
-                           std::vector<std::byte>& out) {
-    AURORA_TRACE_SPAN("offload", "wait_result");
-    target_state& t = state_for(node);
-    while (!try_collect(node, ticket, slot, out)) {
-        if (t.health == target_health::failed || t.be == nullptr) {
-            // Safety net — fail_target settles outstanding tickets, so this
-            // request must predate the runtime knowing the ticket.
-            throw target_failed_error(failed_what(node, t.fail_reason));
-        }
-        if (t.health == target_health::recovering &&
-            sim::now() < t.next_attempt_at) {
-            sim::sleep_until(t.next_attempt_at); // idle until the re-attach
-            continue;
-        }
-        t.be->poll_pause();
-    }
-}
-
 bool runtime::wait_collect_until(node_t node, std::uint64_t ticket,
                                  std::uint32_t slot, std::vector<std::byte>& out,
                                  sim::time_ns deadline_ns) {
@@ -1219,6 +1173,8 @@ bool runtime::wait_collect_until(node_t node, std::uint64_t ticket,
     target_state& t = state_for(node);
     while (!try_collect(node, ticket, slot, out)) {
         if (t.health == target_health::failed || t.be == nullptr) {
+            // Safety net — fail_target settles outstanding tickets, so this
+            // request must predate the runtime knowing the ticket.
             throw target_failed_error(failed_what(node, t.fail_reason));
         }
         if (sim::now() >= deadline_ns) {
@@ -1269,10 +1225,9 @@ std::uint64_t runtime::allocate_raw(node_t node, std::uint64_t bytes) {
 void runtime::free_raw(node_t node, std::uint64_t addr) {
     if (node == this_node()) {
         // Idempotent: a buffer_ptr settled twice (e.g. once on the
-        // target_failed_error path and again by its owner) must not abort.
-        if (host_heap_.erase(addr) == 0) {
-            AURORA_TRACE("offload", "duplicate free of host buffer ignored");
-        }
+        // target_failed_error path and again by its owner) must not abort,
+        // so an unknown address is ignored.
+        host_heap_.erase(addr);
         return;
     }
     target_state& t = state_for(node);
@@ -1376,7 +1331,7 @@ bool runtime::zero_copy_transfer(target_state& t, node_t node, void* host_buf,
                             : protocol::msg_kind::data_get);
     t.met.data_chunks->add(1);
     std::vector<std::byte> ack;
-    wait_collect(node, ticket, slot, ack);
+    wait_collect_until(node, ticket, slot, ack, detail::no_deadline);
     if (resilient_ && ack.size() >= sizeof(protocol::result_header)) {
         protocol::result_header h;
         std::memcpy(&h, ack.data(), sizeof(h));
@@ -1418,7 +1373,7 @@ void runtime::pipelined_transfer(node_t node, void* host_buf,
 
     auto retire = [&](pending& p) {
         std::vector<std::byte> ack;
-        wait_collect(node, p.ticket, p.slot, ack);
+        wait_collect_until(node, p.ticket, p.slot, ack, detail::no_deadline);
         if (resilient_ && ack.size() >= sizeof(protocol::result_header)) {
             protocol::result_header h;
             std::memcpy(&h, ack.data(), sizeof(h));

@@ -161,8 +161,6 @@ public:
 
     bool try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                      std::vector<std::byte>& out) override;
-    void wait_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
-                      std::vector<std::byte>& out) override;
     bool wait_collect_until(node_t node, std::uint64_t ticket, std::uint32_t slot,
                             std::vector<std::byte>& out,
                             sim::time_ns deadline_ns) override;
@@ -354,12 +352,6 @@ private:
     bool shut_down_ = false;
     /// Fault handling engaged: retain pending copies, run deadline checks.
     bool resilient_ = false;
-    std::int64_t reply_timeout_ns_ = 0;
-    std::uint32_t max_retries_ = 0;
-    std::int64_t retry_backoff_ns_ = 0;
-    std::uint32_t retry_budget_ = 0; ///< 0 = unlimited (no bucket)
-    std::int64_t retry_budget_refill_ns_ = 0;
-    bool retry_jitter_ = true;
 };
 
 } // namespace ham::offload

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "util/check.hpp"
 
 namespace aurora::vedma {
@@ -59,8 +58,6 @@ int user_dma_engine::dma_post(std::uint64_t dst_vehva, std::uint64_t src_vehva,
     const dma_resolution dst = atb_.resolve(dst_vehva, len);
 
     const auto& cm = atb_.proc().plat().costs();
-    AURORA_TRACE("userdma", "post " << len << " B vehva 0x" << std::hex
-                                    << src_vehva << " -> 0x" << dst_vehva);
     sim::advance(cm.ve_dma_post_ns); // descriptor build + doorbell
 
     sim::duration_ns dur = 0;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "util/check.hpp"
 
 namespace aurora::veo {
@@ -114,8 +113,6 @@ std::uint64_t veo_thr_ctxt::call_async(std::uint64_t sym, const veo_args& args) 
         }
     }
 
-    AURORA_TRACE("veo", "call_async sym " << sym << " req " << cmd.req_id
-                                           << " (" << cmd.regs.size() << " args)");
     // Submission cost: argument marshalling + request enqueue through the
     // pseudo-process; stack payloads ride along the request.
     sim::advance(cm.veo_call_submit_ns +
@@ -174,8 +171,6 @@ veo_proc_handle* veo_proc_create(veos::veos_system& sys, int venode, int socket)
     }
     AURORA_CHECK_MSG(socket >= 0 && socket < sys.plat().topology().num_sockets,
                      "bad VH socket " << socket);
-    AURORA_TRACE("veo", "veo_proc_create on VE" << venode << " (socket "
-                                                 << socket << ")");
     // VE reset, firmware load and VEOS process setup dominate creation.
     sim::advance(sys.plat().costs().veo_proc_create_ns);
     auto* h = new veo_proc_handle;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 #include "util/check.hpp"
 
 namespace aurora::veos {
@@ -59,8 +58,6 @@ void dma_manager::write_to_ve(ve_process& proc, std::uint64_t ve_dst, const void
     }
     const sim::page_size vh_ps = plat_.vh_pages().lookup(src);
     const sim::page_size ve_ps = ve_page_size_of(proc, ve_dst);
-    AURORA_TRACE("priv-dma", "veo_write_mem " << n << " B -> VE" << ve_id_
-                                               << " @0x" << std::hex << ve_dst);
     sim::advance(transfer_cost(n, /*to_ve=*/true, vh_ps, ve_ps, socket));
     // Data becomes visible at transfer completion.
     proc.mem().write(ve_dst, src, n);
@@ -80,8 +77,6 @@ void dma_manager::read_from_ve(ve_process& proc, std::uint64_t ve_src, void* dst
     // model the snapshot at completion time (after the advance), which keeps
     // producer/consumer protocols conservative: a reader never observes a
     // flag *earlier* than the real hardware could.
-    AURORA_TRACE("priv-dma", "veo_read_mem " << n << " B <- VE" << ve_id_
-                                              << " @0x" << std::hex << ve_src);
     sim::advance(transfer_cost(n, /*to_ve=*/false, vh_ps, ve_ps, socket));
     proc.mem().read(ve_src, dst, n);
     ++transfers_;
