@@ -2,8 +2,9 @@
 //
 // The simulator's own speed bounds how fast the reproduction regenerates the
 // paper's sweeps: these numbers quantify the cost of a scheduler handoff, an
-// event signal, and the fast path (a lone runnable process advancing time
-// without any context switch).
+// event signal, the fast path (a lone runnable process advancing time
+// without any context switch), and idle pollers parked in sim::poll while
+// another process spends a long stretch of virtual time.
 #include <benchmark/benchmark.h>
 
 #include "sim/engine.hpp"
@@ -34,8 +35,8 @@ void BM_PingPongContextSwitch(benchmark::State& state) {
     const auto steps = state.range(0);
     for (auto _ : state) {
         simulation s;
-        for (int p = 0; p < 2; ++p) {
-            s.spawn("p" + std::to_string(p), [steps, p] {
+        for (const int p : {0, 1}) {
+            s.spawn(p == 0 ? "p0" : "p1", [steps, p] {
                 for (std::int64_t i = 0; i < steps; ++i) {
                     advance(2 + p); // interleave deterministically
                 }
@@ -46,6 +47,34 @@ void BM_PingPongContextSwitch(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * steps * 2);
 }
 BENCHMARK(BM_PingPongContextSwitch)->Arg(500)->Arg(2000);
+
+void BM_ParkedPollersLongAdvance(benchmark::State& state) {
+    // The multi-VE attach pattern: three VEs already attached poll their
+    // receive flag over LHM every 745 ns while the host spends range(0) ns
+    // attaching the next one. Parked, each poller wakes once, when the flag
+    // is set; resumed per poll, this would be ~40,000 switches for 10 ms.
+    const auto span = state.range(0);
+    const duration_ns lhm_ns = 745;
+    std::uint64_t switches = 0;
+    for (auto _ : state) {
+        simulation s;
+        bool flag = false;
+        for (const char* name : {"ve0", "ve1", "ve2"}) {
+            s.spawn(name, [&] {
+                poll({&lhm_ns, 1}, 0,
+                     [&](std::size_t) { return flag ? time_ns{0} : never; });
+            });
+        }
+        s.spawn("host", [&, span] {
+            advance(span);
+            flag = true;
+        });
+        s.run();
+        switches = s.stats().context_switches;
+    }
+    state.counters["switches"] = static_cast<double>(switches);
+}
+BENCHMARK(BM_ParkedPollersLongAdvance)->Arg(10'000'000);
 
 void BM_EventSignalWake(benchmark::State& state) {
     // Two-event rendezvous: each event is reset by its waiter after

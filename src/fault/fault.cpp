@@ -167,6 +167,25 @@ void injector::check_armed_target_alive(int node) {
     }
 }
 
+sim::time_ns injector::armed_kill_due(int node) const {
+    const auto it = nodes_.find(node);
+    if (it == nodes_.end()) {
+        return sim::never;
+    }
+    const node_plan& p = it->second;
+    const bool count_due =
+        std::any_of(p.kill_counts.begin(), p.kill_counts.end(),
+                    [&](std::uint64_t n) { return p.msgs_seen >= n; });
+    if (p.killed || p.fenced || count_due) {
+        return 0;
+    }
+    sim::time_ns due = sim::never;
+    for (const sim::time_ns t : p.kill_times) {
+        due = std::min(due, t);
+    }
+    return due;
+}
+
 std::uint64_t injector::draw() { return splitmix64(rng_); }
 
 bool injector::roll(std::uint32_t permille, std::uint64_t& counter) {

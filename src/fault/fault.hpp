@@ -132,6 +132,13 @@ public:
             check_armed_target_alive(node);
         }
     }
+    /// The earliest virtual time at which check_target_alive(node) would
+    /// throw, as things stand (sim::never: no death is scheduled). Free of
+    /// side effects, for a parked poll's wake-up (sim::poll).
+    [[nodiscard]] sim::time_ns kill_due(int node) const {
+        return __atomic_load_n(&armed_, __ATOMIC_RELAXED) ? armed_kill_due(node)
+                                                         : sim::never;
+    }
     /// Record a target that gave up waiting for the host (idle timeout).
     void note_idle_timeout();
 
@@ -170,6 +177,7 @@ private:
     };
 
     void check_armed_target_alive(int node);
+    [[nodiscard]] sim::time_ns armed_kill_due(int node) const;
     [[nodiscard]] std::uint64_t draw();
     [[nodiscard]] bool roll(std::uint32_t permille, std::uint64_t& counter);
 

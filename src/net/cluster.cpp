@@ -18,19 +18,6 @@ using ham::offload::target_health;
 
 namespace {
 
-/// Gateway-host memory: remote node-0 (the gateway VH itself) allocations
-/// are never exercised by routed traffic, but the runtime scaffolding wants
-/// a context — mirror run.cpp's host_memory.
-class gateway_memory final : public ham::offload::target_memory {
-public:
-    void read(std::uint64_t addr, void* dst, std::uint64_t len) override {
-        std::memcpy(dst, reinterpret_cast<const void*>(addr), len);
-    }
-    void write(std::uint64_t addr, const void* src, std::uint64_t len) override {
-        std::memcpy(reinterpret_cast<void*>(addr), src, len);
-    }
-};
-
 /// [result_header{target_failed}][reason] — the same synthetic settlement
 /// shape runtime::settle_failed() produces locally.
 std::vector<std::byte> synthetic_failed(const std::string& why) {
@@ -160,7 +147,9 @@ void cluster::run_gateway(gateway& g) {
     const ham::handler_registry reg =
         ham::handler_registry::build(ham::offload::host_image_options());
     ham::execution_context::scope image_scope(reg);
-    gateway_memory gmem;
+    // Remote node-0 (the gateway VH itself) allocations are never exercised
+    // by routed traffic, but the runtime scaffolding wants a context.
+    ham::offload::direct_memory gmem;
     ham::offload::target_context gctx(0, ham::offload::target_context::device::vh,
                                       &gmem, &plat_.costs());
     ham::offload::target_context::scope ctx_scope(gctx);

@@ -1,5 +1,6 @@
 #include "offload/app_image.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <variant>
 
@@ -52,6 +53,24 @@ struct vedma_target_cfg {
 
 using target_cfg = std::variant<veo_target_cfg, vedma_target_cfg>;
 
+/// When an idle VE's poll loop would next act, for sim::poll: now if the
+/// flag word `raw` carries the next generation (of this epoch, or a stale
+/// one the loop must clear), else at its idle timeout or its scheduled
+/// death, whichever comes first.
+template <typename Cfg>
+sim::time_ns ve_poll_due(std::uint64_t raw, std::uint8_t gen, const Cfg& cfg,
+                         sim::time_ns idle_start) {
+    const protocol::flag_word flag = protocol::decode_flag(raw);
+    if (flag.present() && flag.gen == protocol::next_gen(gen)) {
+        return 0;
+    }
+    sim::time_ns due = aurora::fault::injector::instance().kill_due(int(cfg.node));
+    if (cfg.idle_timeout_ns > 0) {
+        due = std::min(due, idle_start + cfg.idle_timeout_ns);
+    }
+    return due;
+}
+
 // --- target memory over the VE process's simulated HBM2 ----------------------
 
 class ve_target_memory final : public target_memory {
@@ -87,11 +106,16 @@ public:
         // memory probes — the cheap side of this protocol.
         auto& inj = aurora::fault::injector::instance();
         const sim::time_ns idle_start = sim::now();
+        const std::uint64_t flag_addr =
+            cfg_.comm_addr + lay.recv_base() + lay.recv.flag_offset(next_);
+        const auto due = [&](std::size_t) {
+            return ve_poll_due(proc_.mem().load_u64(flag_addr), recv_gen_[next_],
+                               cfg_, idle_start);
+        };
         for (;;) {
             inj.check_target_alive(int(cfg_.node));
-            sim::advance(cm.local_poll_ns);
-            const std::uint64_t flag_addr =
-                cfg_.comm_addr + lay.recv_base() + lay.recv.flag_offset(next_);
+            // The probes that find nothing run parked (sim::poll).
+            sim::poll({&cm.local_poll_ns, 1}, 0, due);
             flag = protocol::decode_flag(proc_.mem().load_u64(flag_addr));
             if (flag.present() && flag.gen == protocol::next_gen(recv_gen_[next_])) {
                 if (flag.epoch == cfg_.epoch) {
@@ -243,13 +267,19 @@ public:
             // each.
             auto& inj = aurora::fault::injector::instance();
             const sim::time_ns idle_start = sim::now();
+            const std::uint64_t flag_vehva =
+                comm_vehva_ + lay.recv_base() + lay.recv.flag_offset(next_);
+            const aurora::vedma::lhm_word word =
+                aurora::vedma::lhm_resolve64(atb_, flag_vehva);
+            const auto due = [&](std::size_t) {
+                return ve_poll_due(word.value(), recv_gen_[next_], cfg_, idle_start);
+            };
             for (;;) {
                 inj.check_target_alive(int(cfg_.node));
-                const std::uint64_t flag_vehva =
-                    comm_vehva_ + lay.recv_base() + lay.recv.flag_offset(next_);
-                const std::uint64_t raw =
-                    aurora::vedma::lhm_load64(atb_, flag_vehva);
-                flag = protocol::decode_flag(raw);
+                // One LHM load per probe; the ones that find nothing run
+                // parked (sim::poll).
+                sim::poll({&word.load_ns, 1}, 0, due);
+                flag = protocol::decode_flag(word.value());
                 if (flag.present() &&
                     flag.gen == protocol::next_gen(recv_gen_[next_])) {
                     if (flag.epoch == cfg_.epoch) {

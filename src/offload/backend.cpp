@@ -1,6 +1,7 @@
 #include "offload/backend.hpp"
 
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 #include "util/check.hpp"
 
 namespace ham::offload {
@@ -15,7 +16,11 @@ namespace {
 
 } // namespace
 
-backend_metrics::backend_metrics(const char* backend_name, node_t node) {
+backend_metrics::backend_metrics(const char* backend_name, node_t node,
+                                 const char* poll_trace_name)
+    : poll_trace_name_(poll_trace_name),
+      poll_bridge_(
+          &aurora::metrics::trace_bridge_counter("backend", poll_trace_name)) {
     namespace m = aurora::metrics;
     auto& reg = m::registry::global();
     const std::string lbl = m::labels(
@@ -47,8 +52,16 @@ backend_metrics::send_timer::~send_timer() {
     }
 }
 
-backend_metrics::poll_timer::poll_timer(backend_metrics& m) noexcept
-    : m_(m), t0_(vnow()) {}
+void backend_metrics::count_polls(std::uint64_t n) noexcept {
+    polls_->add(n);
+#if !defined(HAM_AURORA_TRACE_DISABLED)
+    aurora::trace::count(*poll_bridge_, "backend", poll_trace_name_, n);
+#endif
+}
+
+backend_metrics::poll_timer::poll_timer(backend_metrics& m,
+                                        const probe_resume& resume) noexcept
+    : m_(m), t0_(resume.started >= 0 ? resume.started : vnow()) {}
 
 void backend_metrics::poll_timer::arrived(std::size_t len) noexcept {
     arrived_ = true;
@@ -56,7 +69,6 @@ void backend_metrics::poll_timer::arrived(std::size_t len) noexcept {
 }
 
 backend_metrics::poll_timer::~poll_timer() {
-    m_.polls_->add(1);
     if (!arrived_) {
         return;
     }

@@ -14,6 +14,7 @@
 #include "metrics/metrics.hpp"
 #include "offload/protocol.hpp"
 #include "offload/types.hpp"
+#include "sim/engine.hpp"
 
 namespace ham::offload {
 
@@ -25,6 +26,16 @@ enum class io_status : std::uint8_t {
     down,      ///< the transport is gone; the target must be declared failed
 };
 
+/// How a wait that parked between result probes (sim::poll) re-enters
+/// test_result().
+struct probe_resume {
+    /// Earlier probes the parked wait skipped; they found nothing, and
+    /// test_result() books them with its own (then zeroes this).
+    std::uint64_t skipped = 0;
+    /// >= 0: the probe's own time (probe_ns()) already passed; it began then.
+    sim::time_ns started = -1;
+};
+
 /// Transport-level telemetry shared by every backend implementation: send
 /// and poll latencies (virtual ns) plus byte counters, labeled
 /// {backend=<name>, node=<n>} in the global aurora::metrics registry.
@@ -32,7 +43,14 @@ enum class io_status : std::uint8_t {
 /// cost is a handful of relaxed atomics.
 class backend_metrics {
 public:
-    backend_metrics(const char* backend_name, node_t node);
+    /// `poll_trace_name`: the backend's trace counter of result probes
+    /// (category "backend"), e.g. "vedma_poll".
+    backend_metrics(const char* backend_name, node_t node,
+                    const char* poll_trace_name);
+
+    /// Count `n` result probes: aurora_backend_polls_total and one event of
+    /// the backend's poll trace counter.
+    void count_polls(std::uint64_t n) noexcept;
 
     /// Times one send_message call and counts its payload bytes.
     class send_timer {
@@ -48,11 +66,12 @@ public:
         std::int64_t t0_;
     };
 
-    /// Times one test_result probe; call arrived() when a result landed so
+    /// Times one test_result probe (from resume.started when it began
+    /// before a parked wait woke); call arrived() when a result landed so
     /// its payload counts as bytes in.
     class poll_timer {
     public:
-        explicit poll_timer(backend_metrics& m) noexcept;
+        poll_timer(backend_metrics& m, const probe_resume& resume) noexcept;
         ~poll_timer();
         poll_timer(const poll_timer&) = delete;
         poll_timer& operator=(const poll_timer&) = delete;
@@ -72,7 +91,10 @@ private:
     aurora::metrics::counter* polls_;
     aurora::metrics::counter* bytes_out_;
     aurora::metrics::counter* bytes_in_;
+    const char* poll_trace_name_;
+    aurora::metrics::counter* poll_bridge_; ///< the trace counter's registry twin
 };
+
 
 class backend {
 public:
@@ -92,13 +114,23 @@ public:
                                                  protocol::msg_kind kind,
                                                  bool retransmit = false) = 0;
 
-    /// Non-blocking result probe for `slot`. On success fills `out` with the
-    /// result payload (header + bytes) and clears the slot.
-    virtual bool test_result(std::uint32_t slot, std::vector<std::byte>& out) = 0;
+    /// Non-blocking result probe for `slot`: spends probe_ns(slot), then
+    /// reads. On success fills `out` with the result payload (header +
+    /// bytes) and clears the slot. `resume` carries what a parked wait
+    /// skipped (see probe_resume).
+    virtual bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
+                             probe_resume& resume) = 0;
 
-    /// Cost the host pays for one fruitless poll iteration (backend-specific:
-    /// an expensive VEO read vs. a local memory probe).
-    virtual void poll_pause() = 0;
+    // --- the result probe as a parked wait needs it (sim::poll) -------------
+    /// Virtual time one test_result(slot) spends before it reads.
+    [[nodiscard]] virtual sim::duration_ns probe_ns(std::uint32_t slot) const = 0;
+    /// When test_result(slot) would act — find a result, or clear a stale
+    /// one — as things stand: the earliest virtual time, or sim::never until
+    /// the target stores something. Free of side effects.
+    [[nodiscard]] virtual sim::time_ns result_due(std::uint32_t slot) const = 0;
+    /// Book `n` probes of `slot` that a parked wait skipped and that no
+    /// test_result() call books: they found nothing, so only counters move.
+    virtual void count_skipped_probes(std::uint32_t slot, std::uint64_t n) = 0;
 
     // --- bulk data path (Table II) -------------------------------------------
     [[nodiscard]] virtual std::uint64_t allocate_bytes(std::uint64_t len) = 0;

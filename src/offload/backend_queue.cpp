@@ -109,17 +109,6 @@ private:
     std::vector<std::uint8_t> recv_gen_; ///< last generation seen per slot
 };
 
-/// Heap-backed target memory: addresses are real pointers.
-class backend_queue::heap_memory final : public target_memory {
-public:
-    void read(std::uint64_t addr, void* dst, std::uint64_t len) override {
-        std::memcpy(dst, reinterpret_cast<const void*>(addr), len);
-    }
-    void write(std::uint64_t addr, const void* src, std::uint64_t len) override {
-        std::memcpy(reinterpret_cast<void*>(addr), src, len);
-    }
-};
-
 backend_queue::kind_profile backend_queue::profile_for(backend_kind kind,
                                                        const sim::cost_model& cm) {
     if (kind == backend_kind::tcp) {
@@ -156,9 +145,7 @@ backend_queue::backend_queue(sim::simulation& sim,
       shared_(std::make_shared<shared_state>(sim, opt.msg_slots)),
       send_gen_(opt.msg_slots, 0),
       target_reg_(&target_reg),
-      met_(kind_.name, node),
-      poll_counter_(
-          &aurora::metrics::trace_bridge_counter("backend", kind_.poll_counter)) {
+      met_(kind_.name, node, kind_.poll_counter) {
     spawn_target();
 }
 
@@ -175,7 +162,7 @@ void backend_queue::spawn_target() {
     target_proc_ = &sim_.spawn(
         std::string(kind_.name) + "-target-" + std::to_string(node_),
         [shared, cm, reg, msg_size, n, epoch, kind] {
-            heap_memory mem;
+            direct_memory mem; // heap-backed: addresses are real pointers
             target_context ctx(n, target_context::device::vh, &mem, cm);
             channel ch(*shared, kind, epoch, n);
             target_loop_config cfg;
@@ -235,14 +222,19 @@ io_status backend_queue::send_message(std::uint32_t slot, const void* msg,
     return io_status::ok;
 }
 
-bool backend_queue::test_result(std::uint32_t slot, std::vector<std::byte>& out) {
+sim::time_ns backend_queue::result_due(std::uint32_t slot) const {
+    const auto& r = shared_->results[slot];
+    return r.bytes.empty() ? sim::never : r.deliver_at;
+}
+
+bool backend_queue::test_result(std::uint32_t slot, std::vector<std::byte>& out,
+                                probe_resume& resume) {
     AURORA_CHECK(slot < slots_);
-#if !defined(HAM_AURORA_TRACE_DISABLED)
-    aurora::trace::count(*poll_counter_, "backend", kind_.poll_counter, 1);
-#endif
-    backend_metrics::poll_timer timer(met_);
+    met_.count_polls(1 + resume.skipped);
+    resume.skipped = 0;
+    backend_metrics::poll_timer timer(met_, resume);
     auto& r = shared_->results[slot];
-    if (kind_.wire.read_ns > 0) {
+    if (kind_.wire.read_ns > 0 && resume.started < 0) {
         sim::advance(kind_.wire.read_ns); // a non-blocking socket read
     }
     if (r.bytes.empty() || sim::now() < r.deliver_at) {
@@ -255,8 +247,8 @@ bool backend_queue::test_result(std::uint32_t slot, std::vector<std::byte>& out)
     return true;
 }
 
-void backend_queue::poll_pause() {
-    sim::advance(costs_.local_poll_ns);
+void backend_queue::count_skipped_probes(std::uint32_t, std::uint64_t n) {
+    met_.count_polls(n);
 }
 
 std::uint64_t backend_queue::allocate_bytes(std::uint64_t len) {

@@ -44,8 +44,14 @@ public:
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
-    bool test_result(std::uint32_t slot, std::vector<std::byte>& out) override;
-    void poll_pause() override;
+    bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
+                     probe_resume& resume) override;
+    /// A tcp probe is a socket read; a loopback probe costs nothing.
+    [[nodiscard]] sim::duration_ns probe_ns(std::uint32_t) const override {
+        return kind_.wire.read_ns;
+    }
+    [[nodiscard]] sim::time_ns result_due(std::uint32_t slot) const override;
+    void count_skipped_probes(std::uint32_t slot, std::uint64_t n) override;
 
     [[nodiscard]] std::uint64_t allocate_bytes(std::uint64_t len) override;
     void free_bytes(std::uint64_t addr) override;
@@ -100,7 +106,6 @@ private:
     };
     struct shared_state;
     class channel;
-    class heap_memory;
 
     [[nodiscard]] static kind_profile profile_for(backend_kind kind,
                                                   const sim::cost_model& cm);
@@ -126,9 +131,6 @@ private:
     /// Registry the target loop translates through; kept for respawn().
     const ham::handler_registry* target_reg_;
     backend_metrics met_;
-    /// The poll counter's metrics bridge, resolved per instance because its
-    /// name depends on the kind (AURORA_TRACE_COUNTER caches one per site).
-    aurora::metrics::counter* poll_counter_;
 };
 
 } // namespace ham::offload

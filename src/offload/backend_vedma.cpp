@@ -44,7 +44,7 @@ backend_vedma::backend_vedma(aurora::veos::veos_system& sys, int ve_id, node_t n
       shms_(sys.plat()),
       send_gen_(opt.msg_slots, 0),
       result_gen_(opt.msg_slots, 0),
-      met_("vedma", node) {
+      met_("vedma", node, "vedma_poll") {
     AURORA_CHECK_MSG(opt.msg_size % 8 == 0,
                      "vedma backend requires 8-byte aligned message sizes");
 
@@ -187,18 +187,33 @@ io_status backend_vedma::send_message(std::uint32_t slot, const void* msg,
     return io_status::ok;
 }
 
-bool backend_vedma::test_result(std::uint32_t slot, std::vector<std::byte>& out) {
-    const auto& cm = sys_.plat().costs();
-    AURORA_CHECK(slot < layout_.send.slots);
-    AURORA_TRACE_COUNTER("backend", "vedma_poll", 1);
-    backend_metrics::poll_timer timer(met_);
-    // "The VH is now the passive receiver who finds its message already in
-    // its local memory as soon as the flag is set by the VE" (Sec. IV-B).
-    sim::advance(cm.local_poll_ns);
+std::uint64_t backend_vedma::result_flag(std::uint32_t slot) const {
     std::uint64_t raw = 0;
     std::memcpy(&raw, region(layout_.send_base() + layout_.send.flag_offset(slot)),
                 sizeof(raw));
-    const protocol::flag_word flag = protocol::decode_flag(raw);
+    return raw;
+}
+
+sim::time_ns backend_vedma::result_due(std::uint32_t slot) const {
+    const protocol::flag_word flag = protocol::decode_flag(result_flag(slot));
+    return flag.present() && flag.gen == protocol::next_gen(result_gen_[slot])
+               ? 0
+               : sim::never;
+}
+
+bool backend_vedma::test_result(std::uint32_t slot, std::vector<std::byte>& out,
+                                probe_resume& resume) {
+    const auto& cm = sys_.plat().costs();
+    AURORA_CHECK(slot < layout_.send.slots);
+    met_.count_polls(1 + resume.skipped);
+    resume.skipped = 0;
+    backend_metrics::poll_timer timer(met_, resume);
+    // "The VH is now the passive receiver who finds its message already in
+    // its local memory as soon as the flag is set by the VE" (Sec. IV-B).
+    if (resume.started < 0) {
+        sim::advance(probe_ns(slot));
+    }
+    const protocol::flag_word flag = protocol::decode_flag(result_flag(slot));
     if (!flag.present() || flag.gen != protocol::next_gen(result_gen_[slot])) {
         return false;
     }
@@ -225,8 +240,12 @@ bool backend_vedma::test_result(std::uint32_t slot, std::vector<std::byte>& out)
     return true;
 }
 
-void backend_vedma::poll_pause() {
-    sim::advance(sys_.plat().costs().local_poll_ns);
+sim::duration_ns backend_vedma::probe_ns(std::uint32_t) const {
+    return sys_.plat().costs().local_poll_ns;
+}
+
+void backend_vedma::count_skipped_probes(std::uint32_t, std::uint64_t n) {
+    met_.count_polls(n);
 }
 
 std::uint64_t backend_vedma::allocate_bytes(std::uint64_t len) {

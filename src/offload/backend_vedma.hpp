@@ -35,8 +35,11 @@ public:
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
-    bool test_result(std::uint32_t slot, std::vector<std::byte>& out) override;
-    void poll_pause() override;
+    bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
+                     probe_resume& resume) override;
+    [[nodiscard]] sim::duration_ns probe_ns(std::uint32_t slot) const override;
+    [[nodiscard]] sim::time_ns result_due(std::uint32_t slot) const override;
+    void count_skipped_probes(std::uint32_t slot, std::uint64_t n) override;
 
     [[nodiscard]] std::uint64_t allocate_bytes(std::uint64_t len) override;
     void free_bytes(std::uint64_t addr) override;
@@ -69,6 +72,8 @@ public:
     }
 
 private:
+    /// Raw result flag word of `slot`, read without the clock.
+    [[nodiscard]] std::uint64_t result_flag(std::uint32_t slot) const;
     [[nodiscard]] std::byte* region(std::uint64_t offset) const {
         return seg_->addr + offset;
     }

@@ -39,7 +39,7 @@ backend_veo::backend_veo(aurora::veos::veos_system& sys, int ve_id, node_t node,
       idle_timeout_ns_(opt.target_idle_timeout_ns),
       send_gen_(opt.msg_slots, 0),
       result_gen_(opt.msg_slots, 0),
-      met_("veo", node) {
+      met_("veo", node, "veo_poll") {
     attach();
 }
 
@@ -157,15 +157,49 @@ io_status backend_veo::send_message(std::uint32_t slot, const void* msg,
     return io_status::ok;
 }
 
-bool backend_veo::test_result(std::uint32_t slot, std::vector<std::byte>& out) {
-    AURORA_CHECK(slot < layout_.send.slots);
-    AURORA_TRACE_COUNTER("backend", "veo_poll", 1);
-    backend_metrics::poll_timer timer(met_);
-    // Poll the result flag (one expensive veo_read_mem)…
+std::uint64_t backend_veo::result_flag_addr(std::uint32_t slot) const {
+    return comm_addr_ + layout_.send_base() + layout_.send.flag_offset(slot);
+}
+
+aurora::veos::dma_manager& backend_veo::dma() const {
+    return proc_->sys->daemon(proc_->venode).dma();
+}
+
+sim::duration_ns backend_veo::probe_ns(std::uint32_t slot) const {
+    const std::uint64_t raw = 0;
+    return dma().read_cost(*proc_->proc, result_flag_addr(slot), &raw, sizeof(raw),
+                           proc_->socket);
+}
+
+sim::time_ns backend_veo::result_due(std::uint32_t slot) const {
+    const protocol::flag_word flag =
+        protocol::decode_flag(proc_->proc->mem().load_u64(result_flag_addr(slot)));
+    return flag.present() && flag.gen == protocol::next_gen(result_gen_[slot])
+               ? 0
+               : sim::never;
+}
+
+void backend_veo::count_skipped_probes(std::uint32_t slot, std::uint64_t n) {
+    met_.count_polls(n);
     std::uint64_t raw = 0;
-    veo_read_mem(proc_, &raw,
-                 comm_addr_ + layout_.send_base() + layout_.send.flag_offset(slot),
-                 sizeof(raw));
+    dma().finish_read(*proc_->proc, result_flag_addr(slot), &raw, sizeof(raw), n);
+}
+
+bool backend_veo::test_result(std::uint32_t slot, std::vector<std::byte>& out,
+                              probe_resume& resume) {
+    AURORA_CHECK(slot < layout_.send.slots);
+    met_.count_polls(1 + resume.skipped);
+    const std::uint64_t reads = 1 + resume.skipped;
+    resume.skipped = 0;
+    backend_metrics::poll_timer timer(met_, resume);
+    // Poll the result flag (one expensive veo_read_mem, split in its time
+    // and its snapshot so that a parked wait can skip the time)…
+    std::uint64_t raw = 0;
+    if (resume.started < 0) {
+        sim::advance(probe_ns(slot));
+    }
+    dma().finish_read(*proc_->proc, result_flag_addr(slot), &raw, sizeof(raw),
+                      reads);
     const protocol::flag_word flag = protocol::decode_flag(raw);
     if (!flag.present() || flag.gen != protocol::next_gen(result_gen_[slot])) {
         return false;
@@ -193,11 +227,6 @@ bool backend_veo::test_result(std::uint32_t slot, std::vector<std::byte>& out) {
     }
     timer.arrived(out.size());
     return true;
-}
-
-void backend_veo::poll_pause() {
-    // The veo_read_mem in test_result dominates; only loop bookkeeping here.
-    sim::advance(sys_.plat().costs().local_poll_ns);
 }
 
 std::uint64_t backend_veo::allocate_bytes(std::uint64_t len) {

@@ -34,8 +34,11 @@ public:
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
-    bool test_result(std::uint32_t slot, std::vector<std::byte>& out) override;
-    void poll_pause() override;
+    bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
+                     probe_resume& resume) override;
+    [[nodiscard]] sim::duration_ns probe_ns(std::uint32_t slot) const override;
+    [[nodiscard]] sim::time_ns result_due(std::uint32_t slot) const override;
+    void count_skipped_probes(std::uint32_t slot, std::uint64_t n) override;
 
     [[nodiscard]] std::uint64_t allocate_bytes(std::uint64_t len) override;
     void free_bytes(std::uint64_t addr) override;
@@ -55,6 +58,9 @@ private:
     /// Fig. 4 deployment for the current epoch_ incarnation: VE process,
     /// library, communication area, setup C-API call, async ham_main.
     void attach();
+    [[nodiscard]] std::uint64_t result_flag_addr(std::uint32_t slot) const;
+    /// The privileged DMA manager behind veo_read_mem for this process.
+    [[nodiscard]] aurora::veos::dma_manager& dma() const;
 
     aurora::veos::veos_system& sys_;
     int ve_id_;

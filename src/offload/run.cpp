@@ -17,18 +17,6 @@ namespace ham::offload {
 
 namespace {
 
-/// Host memory is directly addressable: a buffer_ptr on node 0 wraps a real
-/// pointer (examples that allocate on the host get plain memcpy semantics).
-class host_memory final : public target_memory {
-public:
-    void read(std::uint64_t addr, void* dst, std::uint64_t len) override {
-        std::memcpy(dst, reinterpret_cast<const void*>(addr), len);
-    }
-    void write(std::uint64_t addr, const void* src, std::uint64_t len) override {
-        std::memcpy(reinterpret_cast<void*>(addr), src, len);
-    }
-};
-
 /// The body of one host process: contexts, runtime, user main, teardown.
 int run_app_body(aurora::sim::platform& plat, aurora::veos::veos_system& sys,
                  const runtime_options& opt, const std::function<int()>& host_main) {
@@ -37,7 +25,7 @@ int run_app_body(aurora::sim::platform& plat, aurora::veos::veos_system& sys,
         ham::handler_registry::build(host_image_options());
     ham::execution_context::scope image_scope(host_reg);
 
-    host_memory hmem;
+    direct_memory hmem;
     target_context host_ctx(0, target_context::device::vh, &hmem, &plat.costs());
     target_context::scope ctx_scope(host_ctx);
 

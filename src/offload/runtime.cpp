@@ -1,6 +1,7 @@
 #include "offload/runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "fault/fault.hpp"
@@ -671,19 +672,27 @@ void runtime::drain() {
                 t.health != target_health::recovering) {
                 break;
             }
-            t.be->poll_pause();
+            poll_pause();
         }
     }
 }
 
-bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node) {
+bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node,
+                           probe_resume* resume) {
     if (t.slot_ticket[slot] == 0) {
         return false;
     }
     std::vector<std::byte> bytes;
-    if (t.be == nullptr || !t.be->test_result(slot, bytes)) {
+    probe_resume fresh;
+    if (t.be == nullptr ||
+        !t.be->test_result(slot, bytes, resume != nullptr ? *resume : fresh)) {
         return false;
     }
+    return absorb_result(t, slot, node, bytes);
+}
+
+bool runtime::absorb_result(target_state& t, std::uint32_t slot, node_t node,
+                            std::vector<std::byte>& bytes) {
     if (resilient_ && bytes.size() >= sizeof(protocol::result_header)) {
         protocol::result_header h;
         std::memcpy(&h, bytes.data(), sizeof(h));
@@ -898,6 +907,23 @@ std::uint64_t runtime::post_on_slot(target_state& t, node_t node,
     return ticket;
 }
 
+std::int64_t runtime::reply_window(const pending_send& p) const {
+    return (opt_.reply_timeout_ns << std::min<std::uint32_t>(p.attempts - 1, 6)) +
+           p.window_jitter_ns;
+}
+
+sim::time_ns runtime::deadline_due(const target_state& t) const {
+    if (!resilient_ || opt_.reply_timeout_ns <= 0 ||
+        t.health == target_health::failed) {
+        return sim::never;
+    }
+    sim::time_ns due = sim::never;
+    for (const auto& [slot, p] : t.pending) {
+        due = std::min(due, p.sent_at + reply_window(p));
+    }
+    return due;
+}
+
 void runtime::check_deadlines(target_state& t, node_t node) {
     if (!resilient_ || opt_.reply_timeout_ns <= 0 ||
         t.health == target_health::failed || t.pending.empty()) {
@@ -912,10 +938,7 @@ void runtime::check_deadlines(target_state& t, node_t node) {
         // target is not hammered into failure; the per-attempt jitter stretch
         // keeps pending slots that stalled together from all retransmitting
         // on the same poll.
-        const std::int64_t window =
-            (opt_.reply_timeout_ns << std::min<std::uint32_t>(p.attempts - 1, 6)) +
-            p.window_jitter_ns;
-        if (now - p.sent_at < window) {
+        if (now - p.sent_at < reply_window(p)) {
             continue;
         }
         if (p.attempts > opt_.max_retries) {
@@ -966,7 +989,7 @@ std::uint32_t runtime::acquire_slot(target_state& t, node_t node) {
                 break; // fail_target settled the slot
             }
         }
-        t.be->poll_pause();
+        poll_pause();
     }
     t.rr = (t.rr + 1) % static_cast<std::uint32_t>(t.slot_ticket.size());
     return slot;
@@ -1117,43 +1140,27 @@ std::uint32_t runtime::slots_available(node_t node) {
 bool runtime::try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                           std::vector<std::byte>& out) {
     sim::advance(costs_.ham_future_check_ns);
-    target_state& t = state_for(node);
+    probe_resume fresh;
+    return collect_checked(state_for(node), node, ticket, slot, out, fresh);
+}
+
+bool runtime::collect_checked(target_state& t, node_t node, std::uint64_t ticket,
+                              std::uint32_t slot, std::vector<std::byte>& out,
+                              probe_resume& resume) {
     if (t.health == target_health::recovering) {
         maybe_recover(t, node);
     }
     if (resilient_) {
         check_deadlines(t, node);
     }
-    const auto deliver = [&](auto it) {
-        out = std::move(it->second);
-        t.arrived.erase(it);
-        t.met.results_received->add(1);
-        t.met.queue_depth->add(-1);
-        AURORA_TRACE_COUNTER("offload", "result_bytes", out.size());
-        aurora::obs::emit_now(aurora::obs::stage::collect, gid(node), ticket,
-                              static_cast<std::uint16_t>(slot), t.epoch);
+    if (take_arrived(t, node, ticket, slot, out)) {
         return true;
-    };
-    if (auto it = t.arrived.find(ticket); it != t.arrived.end()) {
-        return deliver(it);
     }
-    // Find the slot currently carrying the ticket: a replay after a recovery
-    // may have relocated it away from the caller's slot hint.
-    std::uint32_t live = slot;
-    if (live >= t.slot_ticket.size() || t.slot_ticket[live] != ticket) {
-        const auto pos =
-            std::find(t.slot_ticket.begin(), t.slot_ticket.end(), ticket);
-        live = pos == t.slot_ticket.end()
-                   ? static_cast<std::uint32_t>(t.slot_ticket.size())
-                   : static_cast<std::uint32_t>(pos - t.slot_ticket.begin());
-    }
+    const std::uint32_t live = live_slot(t, ticket, slot);
     if (live < t.slot_ticket.size()) {
-        if (harvest_slot(t, live, node)) {
-            if (auto it = t.arrived.find(ticket); it != t.arrived.end()) {
-                return deliver(it);
-            }
-        }
-        return false; // still outstanding on its slot
+        // Still outstanding on its slot unless this probe brings it.
+        return harvest_slot(t, live, node, &resume) &&
+               take_arrived(t, node, ticket, slot, out);
     }
     // Not arrived and not on a slot: only legal while the ticket sits in the
     // replay queue of an active recovery. Anything else means the result was
@@ -1166,12 +1173,101 @@ bool runtime::try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
     return false;
 }
 
+bool runtime::take_arrived(target_state& t, node_t node, std::uint64_t ticket,
+                           std::uint32_t slot, std::vector<std::byte>& out) {
+    const auto it = t.arrived.find(ticket);
+    if (it == t.arrived.end()) {
+        return false;
+    }
+    out = std::move(it->second);
+    t.arrived.erase(it);
+    t.met.results_received->add(1);
+    t.met.queue_depth->add(-1);
+    AURORA_TRACE_COUNTER("offload", "result_bytes", out.size());
+    aurora::obs::emit_now(aurora::obs::stage::collect, gid(node), ticket,
+                          static_cast<std::uint16_t>(slot), t.epoch);
+    return true;
+}
+
+std::uint32_t runtime::live_slot(const target_state& t, std::uint64_t ticket,
+                                 std::uint32_t hint) {
+    if (hint < t.slot_ticket.size() && t.slot_ticket[hint] == ticket) {
+        return hint;
+    }
+    const auto pos = std::find(t.slot_ticket.begin(), t.slot_ticket.end(), ticket);
+    return static_cast<std::uint32_t>(pos - t.slot_ticket.begin());
+}
+
+namespace {
+/// A target the wait polls normally (not recovering, not failed).
+bool polled_normally(target_health h) {
+    return h == target_health::healthy || h == target_health::degraded ||
+           h == target_health::probation;
+}
+} // namespace
+
+bool runtime::poll_for_result(target_state& t, node_t node, std::uint64_t ticket,
+                              std::uint32_t slot, std::vector<std::byte>& out,
+                              sim::time_ns deadline_ns) {
+    const std::uint32_t live = live_slot(t, ticket, slot);
+    if (!polled_normally(t.health) || live >= t.slot_ticket.size()) {
+        poll_pause();
+        return try_collect(node, ticket, slot, out);
+    }
+    // One iteration from the pause on: poll_pause(), the future check of
+    // try_collect() (its checks follow), and the probe's own time when it has
+    // one (the read follows; without it the read follows the checks).
+    backend& be = *t.be;
+    const sim::duration_ns probe_ns = be.probe_ns(live);
+    const std::array<sim::duration_ns, 3> steps = {
+        costs_.local_poll_ns, costs_.ham_future_check_ns, probe_ns};
+    const std::size_t n = probe_ns > 0 ? 3 : 2;
+    const std::size_t checked = 1;
+    const std::size_t probed = n - 1;
+    const auto due = [&](std::size_t k) -> sim::time_ns {
+        if (k != checked && k != probed) {
+            return sim::never; // after the pause comes the next future check
+        }
+        if (!polled_normally(t.health) || t.be.get() != &be) {
+            return 0;
+        }
+        sim::time_ns at = sim::never;
+        if (k == checked) {
+            if (t.arrived.count(ticket) != 0 || t.slot_ticket[live] != ticket) {
+                return 0;
+            }
+            at = deadline_due(t);
+        }
+        if (k == probed) {
+            at = std::min({at, be.result_due(live), deadline_ns});
+        }
+        return at;
+    };
+    const sim::poll_result woke = sim::poll({steps.data(), n}, 0, due);
+    probe_resume resume{woke.skipped(probed), -1};
+    bool got = false;
+    if (woke.step == checked) {
+        got = collect_checked(t, node, ticket, slot, out, resume);
+    } else {
+        // Woken right after the probe's time: the rest of that probe.
+        resume.started = sim::now() - probe_ns;
+        std::vector<std::byte> bytes;
+        got = be.test_result(live, bytes, resume) &&
+              absorb_result(t, live, node, bytes) &&
+              take_arrived(t, node, ticket, slot, out);
+    }
+    if (resume.skipped != 0 && t.be != nullptr) {
+        t.be->count_skipped_probes(live, resume.skipped);
+    }
+    return got;
+}
+
 bool runtime::wait_collect_until(node_t node, std::uint64_t ticket,
                                  std::uint32_t slot, std::vector<std::byte>& out,
                                  sim::time_ns deadline_ns) {
     AURORA_TRACE_SPAN("offload", "wait_result");
     target_state& t = state_for(node);
-    while (!try_collect(node, ticket, slot, out)) {
+    for (bool got = try_collect(node, ticket, slot, out); !got;) {
         if (t.health == target_health::failed || t.be == nullptr) {
             // Safety net — fail_target settles outstanding tickets, so this
             // request must predate the runtime knowing the ticket.
@@ -1183,9 +1279,10 @@ bool runtime::wait_collect_until(node_t node, std::uint64_t ticket,
         if (t.health == target_health::recovering &&
             sim::now() < t.next_attempt_at) {
             sim::sleep_until(std::min(t.next_attempt_at, deadline_ns));
+            got = try_collect(node, ticket, slot, out);
             continue;
         }
-        t.be->poll_pause();
+        got = poll_for_result(t, node, ticket, slot, out, deadline_ns);
     }
     return true;
 }

@@ -284,7 +284,39 @@ private:
     /// Lazily create `t`'s arena (first VE allocation with mem_arena on).
     void ensure_arena(target_state& t, node_t node);
     /// Probe one slot's backend result; buffer an arrival under its ticket.
-    bool harvest_slot(target_state& t, std::uint32_t slot, node_t node);
+    /// `resume`: what a parked wait hands on to the probe (probe_resume).
+    bool harvest_slot(target_state& t, std::uint32_t slot, node_t node,
+                      probe_resume* resume = nullptr);
+    /// harvest_slot() after its probe found `bytes`: handle NACKs, settle
+    /// health, buffer the arrival. True when the slot's ticket arrived.
+    bool absorb_result(target_state& t, std::uint32_t slot, node_t node,
+                       std::vector<std::byte>& bytes);
+    /// try_collect() after its future check: recovery, deadlines, then the
+    /// arrived buffer and the ticket's slot.
+    bool collect_checked(target_state& t, node_t node, std::uint64_t ticket,
+                         std::uint32_t slot, std::vector<std::byte>& out,
+                         probe_resume& resume);
+    /// Move `ticket`'s buffered result into `out`, if it arrived.
+    bool take_arrived(target_state& t, node_t node, std::uint64_t ticket,
+                      std::uint32_t slot, std::vector<std::byte>& out);
+    /// The slot carrying `ticket` (a replay may have moved it off `hint`),
+    /// or slot_ticket.size() when none does.
+    [[nodiscard]] static std::uint32_t live_slot(const target_state& t,
+                                                 std::uint64_t ticket,
+                                                 std::uint32_t hint);
+    /// Loop bookkeeping of one fruitless poll iteration besides the probe
+    /// itself (on veo the probe's veo_read_mem dominates).
+    void poll_pause() const { sim::advance(costs_.local_poll_ns); }
+    /// wait_collect_until() from its poll_pause() on, until one of its
+    /// checks acts: the iterations that find nothing run parked (sim::poll).
+    bool poll_for_result(target_state& t, node_t node, std::uint64_t ticket,
+                         std::uint32_t slot, std::vector<std::byte>& out,
+                         sim::time_ns deadline_ns);
+    /// The reply window of `p`'s current attempt (check_deadlines).
+    [[nodiscard]] std::int64_t reply_window(const pending_send& p) const;
+    /// When check_deadlines(t) would next act (sim::never: not as things
+    /// stand). Free of side effects.
+    [[nodiscard]] sim::time_ns deadline_due(const target_state& t) const;
     std::uint32_t acquire_slot(target_state& t, node_t node);
     sent_message send_on_slot(target_state& t, std::uint32_t slot, const void* msg,
                               std::size_t len, protocol::msg_kind kind,

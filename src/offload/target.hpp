@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 #include "offload/types.hpp"
 #include "sim/cost_model.hpp"
@@ -22,6 +23,19 @@ public:
     virtual ~target_memory() = default;
     virtual void read(std::uint64_t addr, void* dst, std::uint64_t len) = 0;
     virtual void write(std::uint64_t addr, const void* src, std::uint64_t len) = 0;
+};
+
+/// Memory whose addresses are real pointers of this process: the host (a
+/// buffer_ptr on node 0 wraps a real pointer), a cluster gateway VH, and the
+/// queue backend's heap-backed targets. Plain memcpy semantics.
+class direct_memory final : public target_memory {
+public:
+    void read(std::uint64_t addr, void* dst, std::uint64_t len) override {
+        std::memcpy(dst, reinterpret_cast<const void*>(addr), len);
+    }
+    void write(std::uint64_t addr, const void* src, std::uint64_t len) override {
+        std::memcpy(reinterpret_cast<void*>(addr), src, len);
+    }
 };
 
 /// Per-process context while executing on an offload target (or the host).

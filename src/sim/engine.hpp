@@ -7,9 +7,25 @@
 // Scheduling is cooperative: exactly one process executes at any instant,
 // and the scheduler always resumes the runnable process with the smallest
 // virtual wake-up time (ties broken by ready order, so runs are
-// deterministic). State that must follow the running process rather than
-// the OS thread lives in aurora::context_local (util/context_local.hpp); the
-// engine installs each process's slot table when it resumes the process.
+// deterministic; the ready processes sit in a heap on that key). State that
+// must follow the running process rather than the OS thread lives in
+// aurora::context_local (util/context_local.hpp); the engine installs each
+// process's slot table when it resumes the process.
+//
+// Idle polling. Both protocols of the paper wait by polling a flag word, and
+// a loop of advance() + load would resume its process once per probe. poll()
+// runs such a loop without resuming the process for the probes that find
+// nothing: the process parks. Whenever another process stops running and a
+// parked loop's next pass comes before the next ready process, the engine
+// asks the loop's side-effect-free `due` callback when its checks would next
+// act (nothing else runs in between, so the answer holds) and computes the
+// first pass that sees it. The passes in between are skipped
+// arithmetically, never resumed. Each skipped pass keeps its
+// place in the (wake, ready order) tie rule: a pass gets a fresh ready order
+// exactly as the advance() of the loop would, so when the poller finally
+// resumes it does so at the same virtual time, and in the same order among
+// processes waking at that time, as the loop. Since a skipped pass only
+// reads, nothing else differs either; only stats().context_switches falls.
 //
 // Consequences relied upon throughout the codebase:
 //   * Shared state touched by multiple simulated processes needs no locking —
@@ -20,12 +36,16 @@
 //     timing comes from the calibrated cost model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -37,9 +57,18 @@ class simulation;
 class event;
 class condition;
 
+struct poll_result;
+
 namespace detail {
 class fiber;
+struct parked_poll;
+using due_fn = time_ns (*)(void*, std::size_t);
+poll_result poll(std::span<const duration_ns> steps, std::size_t first, void* ctx,
+                 due_fn due);
 } // namespace detail
+
+/// A wake-up time that no check reaches until another process changes state.
+inline constexpr time_ns never = std::numeric_limits<time_ns>::max();
 
 /// One simulated process. Created through simulation::spawn(); runs its body
 /// on a stack of its own under the cooperative scheduler.
@@ -66,8 +95,10 @@ private:
     friend class condition;
     friend void advance(duration_ns);
     friend void join(process&);
+    friend poll_result detail::poll(std::span<const duration_ns>, std::size_t, void*,
+                                    detail::due_fn);
 
-    enum class state { ready, running, blocked, finished };
+    enum class state { ready, running, blocked, parked, finished };
 
     process(simulation& sim, std::uint32_t id, std::string name, body_fn body);
     /// Entry of every process fiber; runs the body of the process the
@@ -83,6 +114,9 @@ private:
     time_ns wake_ = 0;         // scheduled resume time while ready
     std::uint64_t ready_seq_ = 0;
     std::vector<process*> join_waiters_;
+    /// While parked in poll(): the loop it stands for. wake_ and ready_seq_
+    /// are then the key of the loop's next pass.
+    detail::parked_poll* poll_ = nullptr;
     /// Created on the first resume, released once the process finished.
     std::unique_ptr<detail::fiber> fiber_;
     context_slots slots_; ///< this process's context_local values
@@ -145,8 +179,24 @@ private:
     friend process& self();
     friend void advance(duration_ns);
     friend void join(process&);
+    friend poll_result detail::poll(std::span<const duration_ns>, std::size_t, void*,
+                                    detail::due_fn);
 
     void make_ready(process& p, time_ns wake);
+    void push_ready(process& p);
+    /// `me` parks in poll(): run others until a check of its loop is due.
+    void park_current(process& me, detail::parked_poll& poll);
+    /// Pick among the best ready process (may be null) and the parked
+    /// pollers: the first pass whose checks act wins. Every parked pass
+    /// before the winner is skipped and re-keyed as the loop would have.
+    /// Returns the winner, still to be claimed; null with aborted_ set on a
+    /// passed deadline or a deadlock.
+    [[nodiscard]] process* settle_parked(process* best);
+    /// Recompute parked_wake_/parked_seq_.
+    void note_parked_keys();
+    /// Heap order of ready_: true when `a` runs after `b`.
+    [[nodiscard]] static bool runs_later(const process* a,
+                                         const process* b) noexcept;
     /// The process to run after `leaving` stops (nullptr: return to run()).
     /// Counts a context switch when that is another process; aborts on a
     /// passed virtual deadline or a deadlock.
@@ -170,6 +220,18 @@ private:
     [[nodiscard]] std::string deadlock_report() const;
 
     std::vector<std::unique_ptr<process>> processes_;
+    /// Ready processes, a min-heap on (wake_, ready_seq_).
+    std::vector<process*> ready_;
+    /// Processes parked in poll(), in no particular order.
+    std::vector<process*> parked_;
+    /// The earliest key (wake, ready order) of a parked loop's next pass:
+    /// while the best ready process runs before it, no parked loop matters.
+    time_ns parked_wake_ = 0;
+    std::uint64_t parked_seq_ = 0;
+    // Scratch of settle_parked: the loops with a pass before the best ready
+    // process, and those of them that skip passes.
+    std::vector<detail::parked_poll*> near_;
+    std::vector<detail::parked_poll*> rekey_;
     process* running_proc_ = nullptr;
     /// The context that called run(), and what it had installed.
     std::unique_ptr<detail::fiber> main_fiber_;
@@ -209,5 +271,66 @@ void sleep_until(time_ns t);
 
 /// Block until `p` finishes. The caller resumes at max(its time, finish time).
 void join(process& p);
+
+/// What poll() reports when the loop it ran reaches a pass whose checks act.
+struct poll_result {
+    std::size_t step = 0;     ///< the caller resumes right after this step
+    std::uint64_t passes = 0; ///< passes skipped before it (no check acted)
+    std::size_t first = 0;    ///< poll()'s `first`
+    std::size_t cycle = 1;    ///< number of steps per iteration
+
+    /// How many of the skipped passes ended step `k`.
+    [[nodiscard]] std::uint64_t skipped(std::size_t k) const noexcept {
+        const std::size_t r = (k + cycle - first) % cycle;
+        return passes > r ? (passes - r - 1) / cycle + 1 : 0;
+    }
+};
+
+namespace detail {
+/// The loop a parked process stands for (see poll()).
+struct parked_poll {
+    std::span<const duration_ns> steps;
+    duration_ns cycle = 0;    ///< sum of steps
+    std::size_t at = 0;       ///< the step whose end is the next pass
+    std::uint64_t passes = 0; ///< passes skipped so far
+    void* ctx = nullptr;
+    due_fn due = nullptr;
+    time_ns wake = 0;         ///< virtual time of the next pass
+    std::uint64_t seq = 0;    ///< its ready order, as advance() would give it
+    std::uint64_t stop = 0; ///< scratch of settle_parked: the pass that acts
+    std::uint64_t ran = 0;  ///< scratch of settle_parked: passes to skip
+};
+} // namespace detail
+
+/// Run the polling loop
+///
+///     for (std::size_t k = first;; k = (k + 1) % steps.size()) {
+///         advance(steps[k]);
+///         if (the loop's checks after step k act) break;
+///     }
+///
+/// without resuming the calling process for the passes whose checks do not
+/// act, and return the step after which they do; the caller then runs those
+/// checks itself. `due(k)` tells when the checks after step k would act:
+/// the earliest virtual time at which they would, given the shared state as
+/// it is now, or sim::never when only another process can change that. It
+/// is called by the engine between other processes' segments, so it must
+/// have no side effects: no advance(), no throw, no sim::now() or
+/// context_local (it runs in some other process's context). Answering too
+/// early is safe (the caller's checks then find nothing and it polls again);
+/// answering too late loses the store. The steps must not all be zero.
+///
+/// With no ready process and no due check left, the loop would poll until
+/// the virtual deadline: poll() ends the run there, with the same
+/// simulation_error; without a deadline it reports a deadlock. A poll()
+/// that unwinds on an abort does not report the passes it skipped.
+template <typename Due>
+poll_result poll(std::span<const duration_ns> steps, std::size_t first, Due&& due) {
+    using fn_t = std::remove_reference_t<Due>;
+    void* const ctx = const_cast<void*>(static_cast<const void*>(&due));
+    return detail::poll(steps, first, ctx, [](void* c, std::size_t k) -> time_ns {
+        return (*static_cast<fn_t*>(c))(k);
+    });
+}
 
 } // namespace aurora::sim

@@ -17,6 +17,19 @@
 
 namespace aurora::vedma {
 
+/// A word of registered host memory as a VE's LHM load sees it: where it
+/// lives and what one load of it costs. Lets a poll loop time its loads
+/// through sim::poll and read the word without the clock.
+struct lhm_word {
+    const std::byte* host = nullptr;
+    sim::duration_ns load_ns = 0;
+
+    [[nodiscard]] std::uint64_t value() const noexcept;
+};
+
+/// Resolve one 64-bit word for LHM. VE-initiated; untimed.
+lhm_word lhm_resolve64(dmaatb& atb, std::uint64_t vehva);
+
 /// Load one 64-bit word from registered host memory. VE-initiated; timed.
 std::uint64_t lhm_load64(dmaatb& atb, std::uint64_t vehva);
 

@@ -71,16 +71,27 @@ void dma_manager::read_from_ve(ve_process& proc, std::uint64_t ve_src, void* dst
     if (n == 0) {
         return;
     }
-    const sim::page_size vh_ps = plat_.vh_pages().lookup(dst);
-    const sim::page_size ve_ps = ve_page_size_of(proc, ve_src);
     // The DMA engine samples VE memory while the request is in flight; we
     // model the snapshot at completion time (after the advance), which keeps
     // producer/consumer protocols conservative: a reader never observes a
     // flag *earlier* than the real hardware could.
-    sim::advance(transfer_cost(n, /*to_ve=*/false, vh_ps, ve_ps, socket));
+    sim::advance(read_cost(proc, ve_src, dst, n, socket));
+    finish_read(proc, ve_src, dst, n);
+}
+
+sim::duration_ns dma_manager::read_cost(ve_process& proc, std::uint64_t ve_src,
+                                        const void* dst, std::uint64_t n,
+                                        int socket) const {
+    const sim::page_size vh_ps = plat_.vh_pages().lookup(dst);
+    const sim::page_size ve_ps = ve_page_size_of(proc, ve_src);
+    return transfer_cost(n, /*to_ve=*/false, vh_ps, ve_ps, socket);
+}
+
+void dma_manager::finish_read(ve_process& proc, std::uint64_t ve_src, void* dst,
+                              std::uint64_t n, std::uint64_t reads) {
     proc.mem().read(ve_src, dst, n);
-    ++transfers_;
-    bytes_ += n;
+    transfers_ += reads;
+    bytes_ += reads * n;
 }
 
 } // namespace aurora::veos

@@ -41,8 +41,18 @@ public:
                      std::uint64_t n, int socket);
 
     /// Timed veo_read_mem body: VE virtual `ve_src` -> VH memory at `dst`.
+    /// read_cost() and then finish_read().
     void read_from_ve(ve_process& proc, std::uint64_t ve_src, void* dst,
                       std::uint64_t n, int socket);
+    /// The time read_from_ve() spends before its snapshot.
+    [[nodiscard]] sim::duration_ns read_cost(ve_process& proc, std::uint64_t ve_src,
+                                             const void* dst, std::uint64_t n,
+                                             int socket) const;
+    /// The rest of read_from_ve(), once its time passed: the snapshot, and
+    /// `reads` transfers of `n` bytes in the statistics (a poll that parked
+    /// between reads books the ones it skipped here too).
+    void finish_read(ve_process& proc, std::uint64_t ve_src, void* dst,
+                     std::uint64_t n, std::uint64_t reads = 1);
 
     /// Transfers performed so far (for tests/statistics).
     [[nodiscard]] std::uint64_t transfer_count() const noexcept { return transfers_; }

@@ -121,13 +121,15 @@ TEST_P(QueueBackend, PinnedVirtualCosts) {
     // Each kind's exact virtual costs on the test machine. The switch count
     // covers the whole run (start-up and teardown included), so a stray
     // zero-length advance — a yield — shows even where it costs no time.
+    // Result waits park between probes (sim::poll), so both kinds switch
+    // only when a message, a result or a transfer moves.
     struct pinned {
         aurora::sim::duration_ns sync_ns;
         aurora::sim::duration_ns put_get_ns;
         std::uint64_t switches;
     };
-    const pinned want = GetParam() == backend_kind::tcp ? pinned{83'903, 102'052, 39}
-                                                        : pinned{2'400, 694, 27};
+    const pinned want = GetParam() == backend_kind::tcp ? pinned{83'903, 102'052, 15}
+                                                        : pinned{2'400, 694, 15};
     aurora::sim::platform plat(aurora::sim::platform_config::test_machine());
     aurora::sim::duration_ns sync_ns = 0;
     aurora::sim::duration_ns put_get_ns = 0;

@@ -217,7 +217,7 @@ TEST(Engine, ManyProcessesDeterministicOrder) {
         simulation s;
         std::vector<std::pair<int, time_ns>> log;
         for (int i = 0; i < 8; ++i) {
-            s.spawn("p" + std::to_string(i), [&log, i] {
+            s.spawn('p' + std::to_string(i), [&log, i] {
                 for (int k = 0; k < 5; ++k) {
                     advance((i * 7 + k * 13) % 50);
                     log.emplace_back(i, now());

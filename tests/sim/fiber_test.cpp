@@ -201,7 +201,7 @@ TEST(EngineFiber, SimulationDestroyedWithoutRunReleasesProcesses) {
     {
         simulation s;
         for (int i = 0; i < 4; ++i) {
-            s.spawn("p" + std::to_string(i), [token] { advance(1_ns); });
+            s.spawn('p' + std::to_string(i), [token] { advance(1_ns); });
         }
         EXPECT_EQ(token.use_count(), 5);
     }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace aurora {
 namespace {
 
@@ -43,6 +45,16 @@ TEST(Units, FormatNs) {
 
 TEST(Units, FormatNsNegative) {
     EXPECT_EQ(format_ns(-6100), "-6.10 us");
+    EXPECT_EQ(format_ns(-1), "-1 ns");
+    EXPECT_EQ(format_ns(-999), "-999 ns");
+    EXPECT_EQ(format_ns(-1500000), "-1.50 ms");
+    EXPECT_EQ(format_ns(-2000000000), "-2 s");
+}
+
+TEST(Units, FormatNsExtremes) {
+    // -INT64_MIN does not fit in an int64_t; the magnitude must still print.
+    EXPECT_EQ(format_ns(std::numeric_limits<std::int64_t>::min()), "-9223372037 s");
+    EXPECT_EQ(format_ns(std::numeric_limits<std::int64_t>::max()), "9223372037 s");
 }
 
 TEST(Units, BandwidthMath) {
