@@ -49,11 +49,13 @@ bool request::test() {
 
 void request::wait() {
     AURORA_CHECK_MSG(valid(), "wait() on an invalid request");
+    // Each poll advances virtual time (executor harvest / backend poll), so
+    // queued deadlines fire and in-flight work lands; an admitted request
+    // always settles (see drain()). After a poll that found nothing the
+    // next ones run parked.
+    bool idle = false;
     while (!settled()) {
-        // Each poll advances virtual time (executor harvest / backend poll),
-        // so queued deadlines fire and in-flight work lands; an admitted
-        // request always settles (see drain()).
-        srv_->poll();
+        idle = !srv_->poll_after(idle);
     }
 }
 
@@ -559,15 +561,44 @@ bool server::poll() {
     return progress;
 }
 
+bool server::poll_after(bool idle) {
+    if (idle) {
+        // The pass after one that found nothing: only the executor's checks
+        // and the queued deadlines can act, so park the executor's pass with
+        // the deadline sweep as its own check; the dispatch finds no room.
+        sim::time_ns expiry = sim::never;
+        for (const auto& [sid, s] : queued_sessions_) {
+            for (const request_ptr& r : s->queue) {
+                if (r->deadline_ns > 0) {
+                    expiry = std::min(expiry, r->deadline_ns);
+                }
+            }
+        }
+        bool progress = false;
+        if (exec_.park_idle(expiry, progress)) {
+            progress = reconcile() || progress;
+            refresh_gauges();
+            return progress;
+        }
+    }
+    return poll();
+}
+
 void server::drain() {
     AURORA_TRACE_SPAN("admit", "drain");
+    bool idle = false;
     while (queued_total_ > 0 || !inflight_.empty()) {
-        poll();
+        idle = !poll_after(idle);
     }
     // Settle anything the executor still tracks (e.g. work submitted through
     // scheduler() directly) so the underlying runtime can quiesce too.
+    idle = false;
     while (exec_.unfinished() > 0) {
-        exec_.poll();
+        bool progress = false;
+        if (!idle || !exec_.park_idle(sim::never, progress)) {
+            progress = exec_.poll();
+        }
+        idle = !progress;
     }
 }
 

@@ -145,6 +145,9 @@ public:
     /// One cooperative tick: expire overdue queued work, WFQ-dispatch into
     /// the executor, poll it, reconcile settlements. True on any progress.
     bool poll();
+    /// poll(), or — `idle`: the last one made no progress — the same tick
+    /// parked through the ticks that would find nothing (sim::poll).
+    bool poll_after(bool idle);
     /// Pump until every admitted request settled (virtual time passes).
     void drain();
 

@@ -29,6 +29,36 @@ std::vector<std::byte> synthetic_failed(const std::string& why) {
     return bytes;
 }
 
+// The link words a parked loop watches (poll_plan checks).
+sim::time_ns link_front(const void* link, std::uint64_t dir) {
+    return static_cast<const inter_node_channel*>(link)->front_arrival(
+        static_cast<int>(dir));
+}
+
+sim::time_ns link_room(const void* link, std::uint64_t dir) {
+    return static_cast<const inter_node_channel*>(link)->has_room(
+               static_cast<int>(dir))
+               ? 0
+               : sim::never;
+}
+
+void link_refused(void* link, std::uint64_t, std::uint64_t n) {
+    static_cast<inter_node_channel*>(link)->count_refused(n);
+}
+
+// Where a gateway pass resumes: the step's kind in the low three bits, the
+// VE (post) or flight index (check, probe) above.
+constexpr std::uint32_t no_step = ~std::uint32_t{0};
+enum gateway_step : std::uint32_t {
+    gw_post = 1,  ///< a parked frame's post: recovery pause or cursor probe
+    gw_check = 2, ///< a flight's future check
+    gw_probe = 3, ///< ...and its probe (gw_check + 1)
+    gw_pause = 4, ///< the idle pass's poll, its last step
+};
+std::uint32_t gw_tag(std::size_t at, gateway_step k) {
+    return static_cast<std::uint32_t>(at) << 3 | k;
+}
+
 } // namespace
 
 /// One remote VH: the link, the gateway process's shared state, and the
@@ -46,7 +76,9 @@ struct cluster::gateway {
     ham::offload::runtime* rt = nullptr; ///< valid from started until done
     bool started = false;
     bool done = false;
+    bool terminate = false; ///< the terminate frame arrived
     sim::process* proc = nullptr;
+    ham::offload::poll_plan plan; ///< the loop's parked pass
 
     /// A routed message posted into the gateway runtime, awaiting its result.
     struct flight {
@@ -110,9 +142,19 @@ cluster::cluster(sim::platform& plat, cluster_options opt)
     }
     // Let every gateway finish booting its runtime (VE attach) so health and
     // memory operations are well-defined the moment the constructor returns.
+    const sim::duration_ns poll = origin_->costs().local_poll_ns;
     for (auto& up : gateways_) {
         while (!up->started) {
-            sim::advance(origin_->costs().local_poll_ns);
+            origin_plan_.clear();
+            origin_plan_.step(poll, 0);
+            origin_plan_.wake_live(
+                [](const void* g, std::uint64_t) {
+                    return static_cast<const gateway*>(g)->started ? 0 : sim::never;
+                },
+                up.get());
+            if (std::uint32_t tag = 0; !origin_plan_.park(tag)) {
+                sim::advance(poll);
+            }
         }
     }
     // node 0's health gauge completes the per-node family for the tools.
@@ -129,9 +171,9 @@ cluster::~cluster() {
         h.kind = proto::msg_kind::terminate;
         h.ticket = 0;
         std::vector<std::byte> frame = proto::make_routed_frame(h, nullptr, 0);
-        while (!g.link.try_send(0, frame)) {
+        while (!g.link.try_send(0, std::move(frame))) {
             drain_results(g);
-            sim::advance(origin_->costs().local_poll_ns);
+            pause_on_link(g, /*refused=*/true, sim::never);
         }
     }
     for (auto& up : gateways_) {
@@ -171,8 +213,30 @@ void cluster::run_gateway(gateway& g) {
 }
 
 void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
-    const sim::duration_ns poll = rt.costs().local_poll_ns;
-    bool terminate = false;
+    std::uint32_t woke = no_step;
+    for (;;) {
+        const pass_end r = gateway_pass(g, rt, woke);
+        if (r == pass_end::finished) {
+            return;
+        }
+        woke = no_step;
+        if (r == pass_end::idle) {
+            plan_gateway(g, rt);
+            if (!g.plan.park(woke)) {
+                woke = no_step;
+            }
+        }
+    }
+}
+
+cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt,
+                                        std::uint32_t woke) {
+    const std::uint32_t after = woke & 7; // the step kind woken after
+    const std::size_t at = woke >> 3;
+    if (woke != no_step && after == gw_pause) {
+        return pass_end::idle; // woke after the pass's last step
+    }
+    bool progress = false;
     auto settle = [&](std::uint64_t origin_ticket, int ve,
                       const aurora::obs::trace_context& ctx) {
         // Terminal VE failure: answer with the same synthetic settlement the
@@ -184,12 +248,15 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
                              rt.failure_reason(ve));
         g.outbox.push_back(result_frame(g, ve, origin_ticket, bytes, ctx));
     };
+    // `resumed`: the pass woke after this post's step (plan_send).
     auto post = [&](std::uint64_t origin_ticket, int ve,
                     const std::vector<std::byte>& payload, proto::msg_kind kind,
-                    const aurora::obs::trace_context& ctx) -> bool {
+                    const aurora::obs::trace_context& ctx, bool resumed) -> bool {
         ham::offload::runtime::sent_message sent;
-        if (!rt.try_send_message(ve, payload.data(), payload.size(), sent,
-                                 kind)) {
+        if (!(resumed ? rt.resume_send(ve, payload.data(), payload.size(), sent,
+                                       kind)
+                      : rt.try_send_message(ve, payload.data(), payload.size(),
+                                            sent, kind))) {
             return false;
         }
         if (ctx.valid()) {
@@ -205,54 +272,54 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
         return true;
     };
 
-    while (true) {
-        bool progress = false;
-
-        // 1. Inbound frames: route to a VE, execute a memory op, or begin
-        //    the shutdown handshake.
-        std::vector<std::byte> frame;
-        while (g.link.try_recv(0, frame)) {
-            progress = true;
-            AURORA_CHECK_MSG(proto::is_routed(frame.data(), frame.size()),
-                             "gateway received an unrouted frame");
-            proto::routing_header h = proto::decode_routing(frame.data());
-            ++h.hops;
-            aurora::obs::trace_context ctx;
-            if (h.has_trace_context()) {
-                ctx.trace_id =
-                    aurora::obs::widen_trace_id(h.trace_lo, h.src_node);
-                ctx.parent_span = h.parent_span;
-            }
-            std::vector<std::byte> payload(
-                frame.begin() + static_cast<std::ptrdiff_t>(
-                                    proto::routing_header_bytes),
-                frame.end());
-            switch (h.kind) {
-                case proto::msg_kind::terminate:
-                    terminate = true;
-                    break;
-                case proto::msg_kind::data_put:
-                case proto::msg_kind::data_get:
-                    g.outbox.push_back(result_frame(
-                        g, h.target, h.ticket,
-                        serve_mem_request(rt, payload), ctx));
-                    break;
-                default:
-                    if (!post(h.ticket, h.target, payload, h.kind, ctx)) {
-                        g.parked[h.target].push_back(
-                            {h.ticket, std::move(payload), h.kind, ctx});
-                    }
-                    break;
-            }
+    // 1. Inbound frames: route to a VE, execute a memory op, or begin the
+    //    shutdown handshake.
+    std::vector<std::byte> frame;
+    while (woke == no_step && g.link.try_recv(0, frame)) {
+        progress = true;
+        AURORA_CHECK_MSG(proto::is_routed(frame.data(), frame.size()),
+                         "gateway received an unrouted frame");
+        proto::routing_header h = proto::decode_routing(frame.data());
+        ++h.hops;
+        aurora::obs::trace_context ctx;
+        if (h.has_trace_context()) {
+            ctx.trace_id = aurora::obs::widen_trace_id(h.trace_lo, h.src_node);
+            ctx.parent_span = h.parent_span;
         }
+        std::vector<std::byte> payload(
+            frame.begin() +
+                static_cast<std::ptrdiff_t>(proto::routing_header_bytes),
+            frame.end());
+        switch (h.kind) {
+            case proto::msg_kind::terminate:
+                g.terminate = true;
+                break;
+            case proto::msg_kind::data_put:
+            case proto::msg_kind::data_get:
+                g.outbox.push_back(result_frame(
+                    g, h.target, h.ticket, serve_mem_request(rt, payload), ctx));
+                break;
+            default:
+                if (!post(h.ticket, h.target, payload, h.kind, ctx, false)) {
+                    g.parked[h.target].push_back(
+                        {h.ticket, std::move(payload), h.kind, ctx});
+                }
+                break;
+        }
+    }
 
-        // 2. Parked frames: retry per VE; a terminally failed VE settles its
-        //    whole queue so no other tenant ever waits behind it.
-        for (auto& [ve, q] : g.parked) {
+    // 2. Parked frames: retry per VE; a terminally failed VE settles its
+    //    whole queue so no other tenant ever waits behind it.
+    if (woke == no_step || after == gw_post) {
+        auto it = woke == no_step ? g.parked.begin()
+                                  : g.parked.find(static_cast<int>(at));
+        for (; it != g.parked.end(); ++it) {
+            auto& [ve, q] = *it;
+            bool resumed = woke != no_step && ve == static_cast<int>(at);
             if (q.empty()) {
                 continue;
             }
-            if (rt.health(ve) == target_health::failed) {
+            if (!resumed && rt.health(ve) == target_health::failed) {
                 for (const auto& p : q) {
                     settle(p.ticket, ve, p.ctx);
                 }
@@ -261,50 +328,83 @@ void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
                 continue;
             }
             while (!q.empty() && post(q.front().ticket, ve, q.front().payload,
-                                      q.front().kind, q.front().ctx)) {
+                                      q.front().kind, q.front().ctx, resumed)) {
                 q.pop_front();
                 progress = true;
+                resumed = false;
             }
-        }
-
-        // 3. Completed offloads: forward results (FIFO front-probe per the
-        //    slot discipline; later flights cannot complete earlier).
-        for (std::size_t i = 0; i < g.flights.size();) {
-            gateway::flight& f = g.flights[i];
-            std::vector<std::byte> bytes;
-            if (rt.try_collect(f.ve, f.local_ticket, f.local_slot, bytes)) {
-                g.outbox.push_back(
-                    result_frame(g, f.ve, f.origin_ticket, bytes, f.ctx));
-                g.flights.erase(g.flights.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-                progress = true;
-            } else {
-                ++i;
-            }
-        }
-
-        // 4. Flush the outbox through the link's backpressure window.
-        while (!g.outbox.empty() && g.link.try_send(1, g.outbox.front())) {
-            g.outbox.pop_front();
-            g.returned->add(1);
-            progress = true;
-        }
-
-        publish_node_health(g.vh);
-
-        if (terminate && g.flights.empty() && g.outbox.empty()) {
-            bool parked_left = false;
-            for (const auto& [ve, q] : g.parked) {
-                parked_left = parked_left || !q.empty();
-            }
-            if (!parked_left) {
-                return;
-            }
-        }
-        if (!progress) {
-            sim::advance(poll);
         }
     }
+
+    // 3. Completed offloads: forward results (FIFO front-probe per the slot
+    //    discipline; later flights cannot complete earlier).
+    bool flight_woke = woke != no_step && (after == gw_check || after == gw_probe);
+    for (std::size_t i = flight_woke ? at : 0; i < g.flights.size();) {
+        gateway::flight& f = g.flights[i];
+        std::vector<std::byte> bytes;
+        const bool got =
+            flight_woke ? rt.resume_collect(f.ve, f.local_ticket, f.local_slot,
+                                            after == gw_probe, bytes)
+                        : rt.try_collect(f.ve, f.local_ticket, f.local_slot, bytes);
+        flight_woke = false;
+        if (got) {
+            g.outbox.push_back(
+                result_frame(g, f.ve, f.origin_ticket, bytes, f.ctx));
+            g.flights.erase(g.flights.begin() + static_cast<std::ptrdiff_t>(i));
+            progress = true;
+        } else {
+            ++i;
+        }
+    }
+
+    // 4. Flush the outbox through the link's backpressure window.
+    while (!g.outbox.empty() && g.link.try_send(1, std::move(g.outbox.front()))) {
+        g.outbox.pop_front();
+        g.returned->add(1);
+        progress = true;
+    }
+
+    publish_node_health(g.vh);
+
+    if (g.terminate && g.flights.empty() && g.outbox.empty()) {
+        bool parked_left = false;
+        for (const auto& [ve, q] : g.parked) {
+            parked_left = parked_left || !q.empty();
+        }
+        if (!parked_left) {
+            return pass_end::finished;
+        }
+    }
+    if (progress) {
+        return pass_end::progress;
+    }
+    sim::advance(rt.costs().local_poll_ns);
+    return pass_end::idle;
+}
+
+void cluster::plan_gateway(gateway& g, ham::offload::runtime& rt) {
+    ham::offload::poll_plan& p = g.plan;
+    p.clear();
+    p.wake_live(&link_front, &g.link, 0); // 1. inbound frames
+    for (const auto& [ve, q] : g.parked) { // 2. parked frames
+        if (q.empty()) {
+            continue;
+        }
+        if (rt.health(ve) == target_health::failed) {
+            p.wake_at(0); // settles the queue
+            continue;
+        }
+        rt.plan_send(p, ve, gw_tag(static_cast<std::size_t>(ve), gw_post));
+    }
+    for (std::size_t i = 0; i < g.flights.size(); ++i) { // 3. flights
+        const gateway::flight& f = g.flights[i];
+        rt.plan_collect(p, f.ve, f.local_ticket, f.local_slot, gw_tag(i, gw_check));
+    }
+    if (!g.outbox.empty()) { // 4. the outbox's refused flush
+        p.wake_live(&link_room, &g.link, 1);
+        p.on_skip(&link_refused, &g.link);
+    }
+    p.step(rt.costs().local_poll_ns, gw_tag(0, gw_pause));
 }
 
 std::vector<std::byte>
@@ -438,16 +538,32 @@ std::uint64_t cluster::route_frame(gateway& g, int ve, proto::msg_kind kind,
         aurora::obs::emit_now(aurora::obs::stage::net_route, pseudo, ticket, 0,
                               0);
     }
-    const std::vector<std::byte> frame = proto::make_routed_frame(
+    std::vector<std::byte> frame = proto::make_routed_frame(
         h, static_cast<const std::byte*>(payload), len);
     // Block (virtual time) under link backpressure, draining completions so
     // the window can free up.
-    while (!g.link.try_send(0, frame)) {
+    while (!g.link.try_send(0, std::move(frame))) {
         drain_results(g);
-        sim::advance(origin().costs().local_poll_ns);
+        pause_on_link(g, /*refused=*/true, sim::never);
     }
     ++g.inflight;
     return ticket;
+}
+
+void cluster::pause_on_link(gateway& g, bool refused, sim::time_ns until) {
+    const sim::duration_ns poll = origin().costs().local_poll_ns;
+    ham::offload::poll_plan& p = origin_plan_;
+    p.clear();
+    p.step(poll, 0);
+    if (refused) {
+        p.wake_live(&link_room, &g.link, 0);
+        p.on_skip(&link_refused, &g.link);
+    }
+    p.wake_live(&link_front, &g.link, 1);
+    p.wake_at(until);
+    if (std::uint32_t tag = 0; !p.park(tag)) {
+        sim::advance(poll);
+    }
 }
 
 cluster::routed_send cluster::submit_raw(int vh, int ve, const void* msg,
@@ -681,6 +797,42 @@ void cluster::engine_poll_recovery(std::size_t e) {
     }
 }
 
+void cluster::plan_send(std::size_t e, ham::offload::poll_plan& plan,
+                        std::uint32_t tag) {
+    const int vh = engine_at(e).first;
+    if (vh == 0) {
+        origin_engines().plan_send(e, plan, tag);
+        return;
+    }
+    plan.wake_live(&link_room, &gw(vh).link, 0); // the window engine_send checks
+}
+
+bool cluster::resume_send(std::size_t e, const void* msg, std::size_t len,
+                          proto::msg_kind kind, std::uint64_t queued_ns,
+                          ham::offload::future<void>& out) {
+    if (engine_at(e).first == 0) {
+        return origin_engines().resume_send(e, msg, len, kind, queued_ns, out);
+    }
+    // A remote send takes no time: it has no step to wake after.
+    return engine_send(e, msg, len, kind, queued_ns, out);
+}
+
+void cluster::plan_poll_recovery(std::size_t e, ham::offload::poll_plan& plan,
+                                 std::uint32_t tag) {
+    if (engine_at(e).first == 0) {
+        origin_engines().plan_poll_recovery(e, plan, tag);
+    }
+}
+
+std::uint64_t cluster::engine_version() const {
+    std::uint64_t v = origin_->health_version();
+    for (const auto& g : gateways_) {
+        // A gateway that exited reads as failed everywhere.
+        v += g->rt != nullptr ? g->rt->health_version() : std::uint64_t{1} << 48;
+    }
+    return v;
+}
+
 void cluster::publish_node_health(int vh) {
     if (vh == 0) {
         // Registered lazily; node 0 health mirrors the origin runtime.
@@ -749,9 +901,27 @@ bool cluster::wait_collect_until(node_t node, std::uint64_t ticket,
         if (sim::now() >= deadline_ns) {
             return false;
         }
-        sim::advance(origin().costs().local_poll_ns);
+        pause_on_link(gw(static_cast<int>(node)), /*refused=*/false, deadline_ns);
     }
     return true;
+}
+
+void cluster::plan_collect(ham::offload::poll_plan& plan, node_t node,
+                           std::uint64_t ticket, std::uint32_t /*slot*/,
+                           std::uint32_t /*tag*/) {
+    const gateway& g = gw(static_cast<int>(node));
+    if (g.arrived.count(ticket) != 0) {
+        plan.wake_at(0);
+    }
+    // Draining a result frame acts whichever ticket it carries (it stamps
+    // net_result and records the epoch), so wake at the link's front.
+    plan.wake_live(&link_front, &g.link, 1);
+}
+
+bool cluster::resume_collect(node_t node, std::uint64_t ticket,
+                             std::uint32_t slot, bool /*after_probe*/,
+                             std::vector<std::byte>& out) {
+    return try_collect(node, ticket, slot, out); // it has no step to wake after
 }
 
 } // namespace aurora::net

@@ -43,11 +43,11 @@ inter_node_channel::inter_node_channel(link_profile profile, int remote_node)
         "Deepest per-direction in-flight frame count of an inter-node link.");
 }
 
-bool inter_node_channel::try_send(int dir, std::vector<std::byte> frame) {
+bool inter_node_channel::try_send(int dir, std::vector<std::byte>&& frame) {
     AURORA_CHECK(dir == 0 || dir == 1);
     direction& w = wire_[dir];
-    if (w.frames.size() >= profile_.window) {
-        backpressure_->add(1);
+    if (!has_room(dir)) {
+        count_refused(1);
         return false;
     }
     // The wire serialises frames: transmission starts when the previous

@@ -65,10 +65,11 @@ public:
     }
     [[nodiscard]] int remote_node() const noexcept { return remote_node_; }
 
-    /// Post one frame into direction `dir`. False (and no time advances)
-    /// when `window` frames are already in flight in that direction —
-    /// the caller drains its receive side and retries.
-    bool try_send(int dir, std::vector<std::byte> frame);
+    /// Post one frame into direction `dir`, moving it onto the wire. False
+    /// (the frame untouched, no time advanced) when `window` frames are
+    /// already in flight in that direction — the caller drains its receive
+    /// side and retries.
+    bool try_send(int dir, std::vector<std::byte>&& frame);
 
     /// Deliver the oldest frame of direction `dir` whose modeled arrival
     /// time has been reached. False when nothing is deliverable yet.
@@ -78,6 +79,18 @@ public:
     [[nodiscard]] std::size_t in_flight(int dir) const noexcept {
         return wire_[dir].size();
     }
+    /// When try_recv(dir) would next deliver, as things stand (sim::never
+    /// while nothing is in flight). Free of side effects.
+    [[nodiscard]] sim::time_ns front_arrival(int dir) const noexcept {
+        return wire_[dir].frames.empty() ? sim::never
+                                         : wire_[dir].frames.front().arrives_at;
+    }
+    /// Whether try_send(dir) would accept a frame now.
+    [[nodiscard]] bool has_room(int dir) const noexcept {
+        return wire_[dir].size() < profile_.window;
+    }
+    /// Count `n` sends refused by a full window that a parked loop skipped.
+    void count_refused(std::uint64_t n) noexcept { backpressure_->add(n); }
     /// Deepest in-flight count across both directions (operator surface:
     /// aurora_top's per-node link-depth column reads the mirrored gauge).
     [[nodiscard]] std::size_t queue_depth() const noexcept {

@@ -194,10 +194,11 @@ public:
     [[nodiscard]] std::uint32_t count() const noexcept { return count_; }
     [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
-    /// Rewind for the next batch, keeping the payload buffer's heap storage
-    /// (the scheduler reuses one builder across dispatches instead of paying
-    /// an allocation per group).
-    void reset() {
+    /// Rewind for the next batch of at most `capacity` bytes, keeping the
+    /// payload buffer's heap storage (the scheduler reuses one builder
+    /// across dispatches instead of paying an allocation per group).
+    void reset(std::uint64_t capacity) {
+        capacity_ = capacity;
         count_ = 0;
         buf_.resize(sizeof(batch_header));
     }

@@ -142,9 +142,15 @@ void runtime::bind_instruments(target_state& t, node_t node) {
 
 void runtime::set_health(target_state& t, target_health h) {
     t.health = h;
+    ++health_version_;
     if (t.met.health != nullptr) {
         t.met.health->set(static_cast<std::int64_t>(h));
     }
+}
+
+void runtime::reset_streak(target_state& t) {
+    t.ok_streak = 0;
+    ++health_version_;
 }
 
 runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
@@ -385,7 +391,7 @@ void runtime::ensure_sendable(target_state& t, node_t node) {
 }
 
 void runtime::note_transient_fault(target_state& t) {
-    t.ok_streak = 0;
+    reset_streak(t);
     if (t.health == target_health::healthy) {
         set_health(t, target_health::degraded);
     }
@@ -485,7 +491,7 @@ void runtime::begin_recovery(target_state& t, node_t node,
         AURORA_TRACE_COUNTER("offload", "targets_recovering", 1);
     }
     set_health(t, target_health::recovering);
-    t.ok_streak = 0;
+    reset_streak(t);
     // Fence the dead incarnation and reap its process; quiesce() keeps the
     // delivered-result state harvestable (unlike abandon()).
     aurora::fault::injector::instance().kill_now(opt_.node_base + int(node));
@@ -575,7 +581,7 @@ bool runtime::maybe_recover(target_state& t, node_t node) {
     t.epoch = epoch;
     t.met.epoch->set(epoch);
     set_health(t, target_health::probation);
-    t.ok_streak = 0;
+    reset_streak(t);
     t.fail_reason.clear();
     t.met.recoveries->add(1);
     // Replay in ticket order into slots 0.. — the order the fresh target
@@ -647,6 +653,11 @@ void runtime::drain() {
         if (t.be == nullptr) {
             continue;
         }
+        const auto none = static_cast<std::uint32_t>(t.slot_ticket.size());
+        // Where a parked pause woke: right after the time of this slot's
+        // probe (the earlier slots' probes found nothing), else none.
+        std::uint32_t from = none;
+        probe_resume resume;
         for (;;) {
             if (t.health == target_health::recovering) {
                 if (sim::now() < t.next_attempt_at) {
@@ -659,9 +670,11 @@ void runtime::drain() {
                 break;
             }
             bool outstanding = false;
-            for (std::uint32_t s = 0; s < t.slot_ticket.size(); ++s) {
-                if (t.slot_ticket[s] != 0) {
-                    harvest_slot(t, s, node);
+            for (std::uint32_t s = 0; s < none; ++s) {
+                // Before `from` the probes already ran (parked) and found
+                // nothing.
+                if (t.slot_ticket[s] != 0 && (from == none || s >= from)) {
+                    harvest_slot(t, s, node, s == from ? &resume : nullptr);
                 }
                 outstanding |= t.slot_ticket[s] != 0;
             }
@@ -672,7 +685,7 @@ void runtime::drain() {
                 t.health != target_health::recovering) {
                 break;
             }
-            poll_pause();
+            from = pause_parked(t, none, resume);
         }
     }
 }
@@ -728,10 +741,13 @@ bool runtime::absorb_result(target_state& t, std::uint32_t slot, node_t node,
     }
     if (resilient_) {
         t.pending.erase(slot);
-        if ((t.health == target_health::degraded ||
-             t.health == target_health::probation) &&
-            ++t.ok_streak >= opt_.recovery_streak) {
-            set_health(t, target_health::healthy);
+        if (t.health == target_health::degraded ||
+            t.health == target_health::probation) {
+            ++t.ok_streak;
+            ++health_version_;
+            if (t.ok_streak >= opt_.recovery_streak) {
+                set_health(t, target_health::healthy);
+            }
         }
     }
     if (t.mttr_pending && t.health != target_health::recovering) {
@@ -979,8 +995,9 @@ std::uint32_t runtime::acquire_slot(target_state& t, node_t node) {
     // buffer bookkeeping).
     AURORA_TRACE_SPAN("offload", "slot_wait");
     const std::uint32_t slot = t.rr;
+    probe_resume resume;
     while (t.slot_ticket[slot] != 0) {
-        if (harvest_slot(t, slot, node)) {
+        if (harvest_slot(t, slot, node, &resume)) {
             break;
         }
         if (resilient_) {
@@ -989,7 +1006,7 @@ std::uint32_t runtime::acquire_slot(target_state& t, node_t node) {
                 break; // fail_target settled the slot
             }
         }
-        poll_pause();
+        pause_parked(t, slot, resume);
     }
     t.rr = (t.rr + 1) % static_cast<std::uint32_t>(t.slot_ticket.size());
     return slot;
@@ -1090,10 +1107,16 @@ bool runtime::try_send_message(node_t node, const void* msg, std::size_t len,
             return false;
         }
     }
+    return send_on_cursor(t, node, msg, len, out, kind, nullptr);
+}
+
+bool runtime::send_on_cursor(target_state& t, node_t node, const void* msg,
+                             std::size_t len, sent_message& out,
+                             protocol::msg_kind kind, probe_resume* resume) {
     // The host must fill slots in strict round-robin order (Sec. III-D), so
     // only the cursor slot is a candidate; harvest it opportunistically.
     const std::uint32_t slot = t.rr;
-    if (t.slot_ticket[slot] != 0 && !harvest_slot(t, slot, node)) {
+    if (t.slot_ticket[slot] != 0 && !harvest_slot(t, slot, node, resume)) {
         return false;
     }
     if (t.health == target_health::failed ||
@@ -1199,67 +1222,148 @@ std::uint32_t runtime::live_slot(const target_state& t, std::uint64_t ticket,
 }
 
 namespace {
-/// A target the wait polls normally (not recovering, not failed).
-bool polled_normally(target_health h) {
-    return h == target_health::healthy || h == target_health::degraded ||
-           h == target_health::probation;
+sim::time_ns result_due_of(const void* be, std::uint64_t slot) {
+    return static_cast<const backend*>(be)->result_due(
+        static_cast<std::uint32_t>(slot));
+}
+
+void count_probes_of(void* be, std::uint64_t slot, std::uint64_t n) {
+    static_cast<backend*>(be)->count_skipped_probes(
+        static_cast<std::uint32_t>(slot), n);
 }
 } // namespace
 
-bool runtime::poll_for_result(target_state& t, node_t node, std::uint64_t ticket,
+void runtime::plan_probe(poll_plan& plan, target_state& t, std::uint32_t slot,
+                         std::uint32_t tag) {
+    backend& be = *t.be;
+    if (const sim::duration_ns ns = be.probe_ns(slot); ns > 0) {
+        plan.step(ns, tag);
+    }
+    plan.wake_live(&result_due_of, &be, slot);
+    plan.on_skip(&count_probes_of, &be, slot);
+}
+
+probe_resume runtime::probe_begun(const target_state& t, std::uint32_t slot) {
+    probe_resume r;
+    r.started = sim::now() - t.be->probe_ns(slot);
+    return r;
+}
+
+void runtime::plan_collect(poll_plan& plan, node_t node, std::uint64_t ticket,
+                           std::uint32_t slot, std::uint32_t tag) {
+    target_state& t = state_for(node);
+    plan.step(costs_.ham_future_check_ns, tag);
+    // collect_checked(): recovery, the reply deadlines, the arrived buffer.
+    if (t.health == target_health::recovering) {
+        plan.wake_at(t.next_attempt_at);
+    }
+    plan.wake_at(deadline_due(t));
+    if (t.arrived.count(ticket) != 0) {
+        plan.wake_at(0);
+        return;
+    }
+    // Then the ticket's slot; a ticket in the replay queue has none.
+    const std::uint32_t live = live_slot(t, ticket, slot);
+    if (live < t.slot_ticket.size() && t.be != nullptr) {
+        plan_probe(plan, t, live, tag + 1);
+    }
+}
+
+bool runtime::resume_collect(node_t node, std::uint64_t ticket,
+                             std::uint32_t slot, bool after_probe,
+                             std::vector<std::byte>& out) {
+    target_state& t = state_for(node);
+    if (!after_probe) {
+        probe_resume fresh;
+        return collect_checked(t, node, ticket, slot, out, fresh);
+    }
+    const std::uint32_t live = live_slot(t, ticket, slot);
+    probe_resume resume = probe_begun(t, live);
+    std::vector<std::byte> bytes;
+    return t.be->test_result(live, bytes, resume) &&
+           absorb_result(t, live, node, bytes) &&
+           take_arrived(t, node, ticket, slot, out);
+}
+
+void runtime::plan_send(poll_plan& plan, node_t node, std::uint32_t tag) {
+    target_state& t = state_for(node);
+    if (t.health == target_health::failed || t.be == nullptr) {
+        return;
+    }
+    if (t.health == target_health::recovering) {
+        plan.wake_at(t.next_attempt_at); // maybe_recover()
+        plan.step(costs_.local_poll_ns, tag);
+        return;
+    }
+    plan.wake_at(deadline_due(t));
+    if (t.slot_ticket[t.rr] == 0) {
+        plan.wake_at(0); // the send would go out
+        return;
+    }
+    plan_probe(plan, t, t.rr, tag);
+}
+
+bool runtime::resume_send(node_t node, const void* msg, std::size_t len,
+                          sent_message& out, protocol::msg_kind kind) {
+    target_state& t = state_for(node);
+    if (t.health == target_health::recovering) {
+        return false; // woke after the recovery pause, the send's last step
+    }
+    probe_resume resume = probe_begun(t, t.rr);
+    return send_on_cursor(t, node, msg, len, out, kind, &resume);
+}
+
+std::uint32_t runtime::pause_parked(target_state& t, std::uint32_t slot,
+                                    probe_resume& resume) {
+    const auto none = static_cast<std::uint32_t>(t.slot_ticket.size());
+    resume = {};
+    if (t.health == target_health::recovering ||
+        t.health == target_health::failed) {
+        poll_pause(); // the waits act on these right after the pause
+        return none;
+    }
+    poll_plan& plan = wait_plan_;
+    plan.clear();
+    plan.step(costs_.local_poll_ns, none);
+    if (t.be != nullptr) {
+        for (std::uint32_t s = 0; s < none; ++s) {
+            if ((slot == none || s == slot) && t.slot_ticket[s] != 0) {
+                plan_probe(plan, t, s, s);
+            }
+        }
+    }
+    plan.wake_at(deadline_due(t)); // check_deadlines()
+    std::uint32_t woke = none;
+    if (!plan.park(woke)) {
+        poll_pause();
+        return none;
+    }
+    if (woke != none) {
+        resume = probe_begun(t, woke);
+    }
+    return woke;
+}
+
+bool runtime::poll_for_result(node_t node, std::uint64_t ticket,
                               std::uint32_t slot, std::vector<std::byte>& out,
                               sim::time_ns deadline_ns) {
-    const std::uint32_t live = live_slot(t, ticket, slot);
-    if (!polled_normally(t.health) || live >= t.slot_ticket.size()) {
+    // One iteration from the pause on: poll_pause(), try_collect(), and the
+    // wait's own checks after it (its deadline; a failed target is settled).
+    constexpr std::uint32_t pause = 0;
+    constexpr std::uint32_t check = 1;
+    poll_plan& plan = wait_plan_;
+    plan.clear();
+    plan.step(costs_.local_poll_ns, pause);
+    plan_collect(plan, node, ticket, slot, check);
+    plan.wake_at(deadline_ns);
+    std::uint32_t woke = pause;
+    if (!plan.park(woke)) {
         poll_pause();
+    }
+    if (woke == pause) {
         return try_collect(node, ticket, slot, out);
     }
-    // One iteration from the pause on: poll_pause(), the future check of
-    // try_collect() (its checks follow), and the probe's own time when it has
-    // one (the read follows; without it the read follows the checks).
-    backend& be = *t.be;
-    const sim::duration_ns probe_ns = be.probe_ns(live);
-    const std::array<sim::duration_ns, 3> steps = {
-        costs_.local_poll_ns, costs_.ham_future_check_ns, probe_ns};
-    const std::size_t n = probe_ns > 0 ? 3 : 2;
-    const std::size_t checked = 1;
-    const std::size_t probed = n - 1;
-    const auto due = [&](std::size_t k) -> sim::time_ns {
-        if (k != checked && k != probed) {
-            return sim::never; // after the pause comes the next future check
-        }
-        if (!polled_normally(t.health) || t.be.get() != &be) {
-            return 0;
-        }
-        sim::time_ns at = sim::never;
-        if (k == checked) {
-            if (t.arrived.count(ticket) != 0 || t.slot_ticket[live] != ticket) {
-                return 0;
-            }
-            at = deadline_due(t);
-        }
-        if (k == probed) {
-            at = std::min({at, be.result_due(live), deadline_ns});
-        }
-        return at;
-    };
-    const sim::poll_result woke = sim::poll({steps.data(), n}, 0, due);
-    probe_resume resume{woke.skipped(probed), -1};
-    bool got = false;
-    if (woke.step == checked) {
-        got = collect_checked(t, node, ticket, slot, out, resume);
-    } else {
-        // Woken right after the probe's time: the rest of that probe.
-        resume.started = sim::now() - probe_ns;
-        std::vector<std::byte> bytes;
-        got = be.test_result(live, bytes, resume) &&
-              absorb_result(t, live, node, bytes) &&
-              take_arrived(t, node, ticket, slot, out);
-    }
-    if (resume.skipped != 0 && t.be != nullptr) {
-        t.be->count_skipped_probes(live, resume.skipped);
-    }
-    return got;
+    return resume_collect(node, ticket, slot, woke != check, out);
 }
 
 bool runtime::wait_collect_until(node_t node, std::uint64_t ticket,
@@ -1282,7 +1386,7 @@ bool runtime::wait_collect_until(node_t node, std::uint64_t ticket,
             got = try_collect(node, ticket, slot, out);
             continue;
         }
-        got = poll_for_result(t, node, ticket, slot, out, deadline_ns);
+        got = poll_for_result(node, ticket, slot, out, deadline_ns);
     }
     return true;
 }

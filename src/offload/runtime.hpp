@@ -17,6 +17,7 @@
 #include "offload/backend.hpp"
 #include "offload/future.hpp"
 #include "offload/options.hpp"
+#include "offload/poll_plan.hpp"
 #include "offload/types.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
@@ -165,6 +166,33 @@ public:
                             std::vector<std::byte>& out,
                             sim::time_ns deadline_ns) override;
 
+    // --- parked polls (poll_plan) -------------------------------------------
+    // The checks of one ticket and of one refused send, as a parked pass
+    // sees them: the host's result wait, the executor's idle pass and a
+    // cluster gateway's loop all describe them through these, so the wake
+    // rules live here once.
+    /// try_collect(): the future check (step `tag`), then recovery, the reply
+    /// deadlines, the arrived buffer and the ticket's slot; then the probe
+    /// (step `tag + 1` when it takes time) and its result flag.
+    void plan_collect(poll_plan& plan, node_t node, std::uint64_t ticket,
+                      std::uint32_t slot, std::uint32_t tag) override;
+    bool resume_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
+                        bool after_probe, std::vector<std::byte>& out) override;
+    /// A try_send_message() that would be refused (or slots_available() on
+    /// a recovering target): recovery and its pause, or the reply deadlines
+    /// and the cursor slot's probe — at most one step, tagged `tag`.
+    void plan_send(poll_plan& plan, node_t node, std::uint32_t tag);
+    /// try_send_message() for a pass that woke after plan_send()'s step.
+    bool resume_send(node_t node, const void* msg, std::size_t len,
+                     sent_message& out,
+                     protocol::msg_kind kind = protocol::msg_kind::user);
+    /// Changes with every target's health or probation streak: a parked
+    /// pass on another process compares it to see this runtime's targets
+    /// move (sim::poll's due must not miss such a change).
+    [[nodiscard]] std::uint64_t health_version() const noexcept {
+        return health_version_;
+    }
+
     // --- memory (Table II allocate/free/put/get) --------------------------------
     [[nodiscard]] std::uint64_t allocate_raw(node_t node, std::uint64_t bytes);
     void free_raw(node_t node, std::uint64_t addr);
@@ -308,10 +336,26 @@ private:
     /// itself (on veo the probe's veo_read_mem dominates).
     void poll_pause() const { sim::advance(costs_.local_poll_ns); }
     /// wait_collect_until() from its poll_pause() on, until one of its
-    /// checks acts: the iterations that find nothing run parked (sim::poll).
-    bool poll_for_result(target_state& t, node_t node, std::uint64_t ticket,
-                         std::uint32_t slot, std::vector<std::byte>& out,
-                         sim::time_ns deadline_ns);
+    /// checks acts: the iterations that find nothing run parked.
+    bool poll_for_result(node_t node, std::uint64_t ticket, std::uint32_t slot,
+                         std::vector<std::byte>& out, sim::time_ns deadline_ns);
+    /// harvest_slot(t, slot) as part of a parked pass: the probe's time
+    /// (step `tag`, if any), then its result flag.
+    static void plan_probe(poll_plan& plan, target_state& t, std::uint32_t slot,
+                           std::uint32_t tag);
+    /// A probe of `slot` resumed right after its time (plan_probe's step).
+    [[nodiscard]] static probe_resume probe_begun(const target_state& t,
+                                                  std::uint32_t slot);
+    /// poll_pause(), parked until the probes after it (of `slot`, or of
+    /// every slot in flight when `slot` is none) or the reply deadlines
+    /// act. The slot whose probe the wait woke after its time (else none),
+    /// and how to finish that probe.
+    std::uint32_t pause_parked(target_state& t, std::uint32_t slot,
+                               probe_resume& resume);
+    /// try_send_message() from the cursor slot's harvest on.
+    bool send_on_cursor(target_state& t, node_t node, const void* msg,
+                        std::size_t len, sent_message& out,
+                        protocol::msg_kind kind, probe_resume* resume);
     /// The reply window of `p`'s current attempt (check_deadlines).
     [[nodiscard]] std::int64_t reply_window(const pending_send& p) const;
     /// When check_deadlines(t) would next act (sim::never: not as things
@@ -372,6 +416,8 @@ private:
     }
     /// Transition `t.health` and mirror it into the health gauge.
     void set_health(target_state& t, target_health h);
+    /// Reset `t`'s probation streak (health_version() moves with it).
+    void reset_streak(target_state& t);
 
     static const aurora::context_local<runtime*> current_;
 
@@ -384,6 +430,10 @@ private:
     bool shut_down_ = false;
     /// Fault handling engaged: retain pending copies, run deadline checks.
     bool resilient_ = false;
+    std::uint64_t health_version_ = 0;
+    /// The parked pass of this runtime's own waits (one at a time: only the
+    /// owning process waits in them).
+    poll_plan wait_plan_;
 };
 
 } // namespace ham::offload

@@ -34,11 +34,32 @@ bool runtime_engines::engine_send(std::size_t e, const void* msg,
                                   ham::offload::protocol::msg_kind kind,
                                   std::uint64_t queued_ns,
                                   ham::offload::future<void>& out) {
-    const ham::offload::node_t node = engine_id(e);
     ham::offload::runtime::sent_message sent;
-    if (!rt_.try_send_message(node, msg, len, sent, kind)) {
+    if (!rt_.try_send_message(engine_id(e), msg, len, sent, kind)) {
         return false;
     }
+    bind(e, sent, queued_ns, out);
+    return true;
+}
+
+bool runtime_engines::resume_send(std::size_t e, const void* msg,
+                                  std::size_t len,
+                                  ham::offload::protocol::msg_kind kind,
+                                  std::uint64_t queued_ns,
+                                  ham::offload::future<void>& out) {
+    ham::offload::runtime::sent_message sent;
+    if (!rt_.resume_send(engine_id(e), msg, len, sent, kind)) {
+        return false;
+    }
+    bind(e, sent, queued_ns, out);
+    return true;
+}
+
+void runtime_engines::bind(std::size_t e,
+                           const ham::offload::runtime::sent_message& sent,
+                           std::uint64_t queued_ns,
+                           ham::offload::future<void>& out) {
+    const ham::offload::node_t node = engine_id(e);
     if (aurora::obs::enabled()) {
         // The submit touchpoint carries the ticket the runtime just assigned,
         // back-dated to when the message's earliest task entered its ready
@@ -50,7 +71,6 @@ bool runtime_engines::engine_send(std::size_t e, const void* msg,
             rt_.target_epoch(node), queued_ns);
     }
     out = ham::offload::future<void>::remote(rt_, node, sent.ticket, sent.slot);
-    return true;
 }
 
 executor::executor(executor_config cfg) : executor(nullptr, cfg) {}
@@ -72,6 +92,7 @@ executor::executor(engine_set* engines, executor_config cfg)
         cfg_.max_batch = 1;
     }
     targets_.resize(num_targets_);
+    planned_group_.resize(num_targets_);
     stats_.per_target.resize(num_targets_);
     for (std::size_t t = 0; t < num_targets_; ++t) {
         ids_.push_back(eng_.engine_id(t));
@@ -136,7 +157,7 @@ task_id executor::submit_serialized(std::vector<std::byte> msg,
     // cause a spurious shed.
     if (cfg_.backpressure == backpressure_mode::shed &&
         tasks_.size() - finished_count_ >= cfg_.max_queued) {
-        drain_once();
+        drain_once(no_step);
         const std::size_t backlog = tasks_.size() - finished_count_;
         if (backlog >= cfg_.max_queued) {
             ++stats_.tasks_shed;
@@ -227,8 +248,13 @@ task_id executor::submit_serialized(std::vector<std::byte> msg,
         AURORA_TRACE_COUNTER("sched", "backpressure_stalls", 1);
         ++stats_.backpressure_stalls;
         met_.backpressure_stalls->add(1);
+        bool idle = false;
         while (tasks_.size() - finished_count_ > cfg_.max_queued) {
-            drain_once();
+            bool progress = false;
+            if (!idle || !park_idle(aurora::sim::never, progress)) {
+                progress = drain_once(no_step);
+            }
+            idle = !progress;
         }
     }
     return id;
@@ -243,8 +269,13 @@ void executor::run(const task_graph& g) {
 
 void executor::wait_all() {
     AURORA_TRACE_SPAN("sched", "wait_all");
+    bool idle = false;
     while (finished_count_ < tasks_.size()) {
-        const bool progress = drain_once();
+        bool progress = false;
+        if (!idle || !park_idle(aurora::sim::never, progress)) {
+            progress = drain_once(no_step);
+        }
+        idle = !progress;
         if (progress) {
             continue;
         }
@@ -424,11 +455,31 @@ void executor::finish_task(task_id id, task_state outcome, node_t executed_on,
     }
 }
 
-bool executor::drain_once() {
+bool executor::drain_once(std::uint32_t woke) {
     bool progress = false;
+    // A pass woken after one of its steps starts there: everything before
+    // it ran parked and found nothing.
+    std::size_t harvest_from = 0;
+    std::size_t dispatch_from = 0;
+    std::uint32_t harvest_woke = no_step;
+    std::uint32_t dispatch_woke = no_step;
+    if (woke != no_step) {
+        const auto kind = static_cast<step_kind>(woke & 7);
+        if (kind == step_pause) {
+            return false; // the pass's last step
+        }
+        if (kind <= step_probe) {
+            harvest_from = woke >> 3;
+            harvest_woke = woke;
+        } else {
+            harvest_from = num_targets_;
+            dispatch_from = woke >> 3;
+            dispatch_woke = woke;
+        }
+    }
 
     // 1. Host tasks run inline on the VH process (scatter/gather phases).
-    while (!host_ready_.empty()) {
+    while (woke == no_step && !host_ready_.empty()) {
         const task_id id = host_ready_.front();
         host_ready_.pop_front();
         if (past_deadline(id)) {
@@ -440,13 +491,16 @@ bool executor::drain_once() {
     }
 
     // 2. Harvest completed flights (lowest node first, FIFO per target).
-    for (std::size_t t = 0; t < num_targets_; ++t) {
-        progress = harvest_target(t) || progress;
+    for (std::size_t t = harvest_from; t < num_targets_; ++t) {
+        progress = harvest_target(t, t == harvest_from ? harvest_woke : no_step) ||
+                   progress;
     }
 
     // 3. Fill the in-flight windows.
-    for (std::size_t t = 0; t < num_targets_; ++t) {
-        progress = dispatch_target(t) || progress;
+    for (std::size_t t = dispatch_from; t < num_targets_; ++t) {
+        progress =
+            dispatch_target(t, t == dispatch_from ? dispatch_woke : no_step) ||
+            progress;
     }
 
     // Mirror the live queue state into the gauges once per tick.
@@ -457,23 +511,99 @@ bool executor::drain_once() {
             static_cast<std::int64_t>(targets_[t].inflight.size()));
     }
 
+    if (!progress && waits_only_remote()) {
+        aurora::sim::advance(rt_.costs().local_poll_ns);
+    }
+    return progress;
+}
+
+bool executor::waits_only_remote() {
     // Only the ambient runtime's polls cost virtual time; results from other
     // VHs arrive by themselves. An idle pass that polled no local engine but
     // waits on a remote one moves the clock itself, or wait_all would spin.
-    if (!progress && num_vhs_ > 1) {
-        bool local = false;
-        bool remote = false;
-        for (std::size_t t = 0; t < num_targets_; ++t) {
-            const bool busy = !targets_[t].inflight.empty() ||
-                              eng_.engine_health(t) ==
-                                  ham::offload::target_health::recovering;
-            (vh_[t] == 0 ? local : remote) |= busy;
-        }
-        if (remote && !local) {
-            aurora::sim::advance(rt_.costs().local_poll_ns);
+    if (num_vhs_ == 1) {
+        return false;
+    }
+    bool local = false;
+    bool remote = false;
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        const bool busy = !targets_[t].inflight.empty() ||
+                          eng_.engine_health(t) ==
+                              ham::offload::target_health::recovering;
+        (vh_[t] == 0 ? local : remote) |= busy;
+    }
+    return remote && !local;
+}
+
+aurora::sim::time_ns executor::engines_moved(const void* self, std::uint64_t) {
+    const auto& ex = *static_cast<const executor*>(self);
+    return ex.eng_.engine_version() != ex.engines_seen_ ? 0 : aurora::sim::never;
+}
+
+void executor::plan_pass(aurora::sim::time_ns also_at) {
+    plan_.clear();
+    plan_.wake_at(also_at);
+    engines_seen_ = eng_.engine_version();
+    // The pass after an idle one: no host task is queued, every front
+    // flight is still out, and each engine's dispatch stops where it did.
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        if (!targets_[t].inflight.empty()) {
+            targets_[t].inflight.front().fut.plan_test(plan_,
+                                                       tag_of(t, step_check));
         }
     }
-    return progress;
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        plan_dispatch(t);
+    }
+    if (num_vhs_ > 1) {
+        // The remote-only pause reads every engine's health, and so does
+        // wait_all()'s stall check after the pass.
+        plan_.wake_live(&engines_moved, this);
+        if (waits_only_remote()) {
+            plan_.step(rt_.costs().local_poll_ns, tag_of(0, step_pause));
+        }
+        plan_.wake_live(&engines_moved, this);
+    }
+}
+
+void executor::plan_dispatch(std::size_t t) {
+    const target_queues& tq = targets_[t];
+    if (vh_[t] != 0) {
+        plan_.wake_live(&engines_moved, this); // another VH drives its health
+    }
+    if (target_terminal(t)) {
+        return; // evacuate() finds nothing queued
+    }
+    if (eng_.engine_health(t) == ham::offload::target_health::recovering) {
+        eng_.plan_poll_recovery(t, plan_, tag_of(t, step_recovery));
+        return;
+    }
+    if (tq.inflight.size() >= effective_window(t) || tq.ready.empty()) {
+        return; // a full window, or nothing queued and nothing to steal
+    }
+    // The group dispatch would gather: it stays the same until one of its
+    // tasks passes its deadline.
+    const std::size_t n = group_size(tq.ready, slot_capacity(rt_));
+    planned_group_[t] = static_cast<std::uint32_t>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (const std::int64_t d = tasks_[tq.ready[i]].opts.deadline_ns; d > 0) {
+            plan_.wake_at(d);
+        }
+    }
+    if (n > 1) {
+        plan_.step(rt_.costs().ham_msg_construct_ns, tag_of(t, step_construct));
+    }
+    eng_.plan_send(t, plan_, tag_of(t, step_send));
+}
+
+bool executor::park_idle(aurora::sim::time_ns also_at, bool& progress) {
+    plan_pass(also_at);
+    std::uint32_t woke = no_step;
+    if (!plan_.park(woke)) {
+        return false;
+    }
+    progress = drain_once(woke);
+    return true;
 }
 
 void executor::run_host_task(task_id id) {
@@ -501,7 +631,7 @@ void executor::run_host_task(task_id id) {
                 std::move(err));
 }
 
-bool executor::harvest_target(std::size_t t) {
+bool executor::harvest_target(std::size_t t, std::uint32_t woke) {
     target_queues& tq = targets_[t];
     bool progress = false;
     // The target loop serves messages in send order, so flights complete
@@ -509,11 +639,11 @@ bool executor::harvest_target(std::size_t t) {
     // keeps the poll cost (and thus virtual time) independent of the window.
     while (!tq.inflight.empty()) {
         flight& f = tq.inflight.front();
-        if (!*f.completed) {
-            // on_ready marks `completed` when the result lands.
-            static_cast<void>(f.fut.test());
-        }
-        if (!*f.completed) {
+        const bool landed = woke != no_step
+                                ? f.fut.resume_test((woke & 7) == step_probe)
+                                : f.fut.test();
+        woke = no_step;
+        if (!landed) {
             break;
         }
         retire_flight(t, f);
@@ -560,99 +690,120 @@ void executor::retire_flight(std::size_t t, flight& f) {
     }
 }
 
-bool executor::dispatch_target(std::size_t t) {
-    target_queues& tq = targets_[t];
-    if (target_terminal(t)) {
-        // A dead target dispatches nothing; anything still queued here moves
-        // to the survivors (its in-flight work re-routes via retire_flight).
-        const bool moved = !tq.ready.empty();
-        evacuate(t);
-        return moved;
+std::size_t executor::group_size(const std::deque<task_id>& q,
+                                 std::size_t cap) const {
+    // batch_builder's arithmetic, without building.
+    const auto bytes = [&](task_id id) {
+        return ham::offload::protocol::batch_entry_bytes(tasks_[id].msg.size());
+    };
+    std::size_t used = sizeof(ham::offload::protocol::batch_header);
+    if (!cfg_.batching || cfg_.max_batch <= 1 || used + bytes(q.front()) > cap) {
+        return 1;
     }
-    if (eng_.engine_health(t) == ham::offload::target_health::recovering) {
-        // Drive the heal state machine (the probe advances virtual time
-        // towards the re-attach deadline and performs the respawn + replay
-        // when it arrives); queued tasks and parked flights wait it out.
-        eng_.engine_poll_recovery(t);
-        return false;
+    used += bytes(q.front());
+    std::size_t n = 1;
+    while (n < cfg_.max_batch && n < q.size() && !past_deadline(q[n]) &&
+           used + bytes(q[n]) <= cap) {
+        used += bytes(q[n]);
+        ++n;
+    }
+    return n;
+}
+
+bool executor::dispatch_target(std::size_t t, std::uint32_t woke) {
+    target_queues& tq = targets_[t];
+    if (woke == no_step) {
+        if (target_terminal(t)) {
+            // A dead target dispatches nothing; anything still queued here
+            // moves to the survivors (its in-flight work re-routes via
+            // retire_flight).
+            const bool moved = !tq.ready.empty();
+            evacuate(t);
+            return moved;
+        }
+        if (eng_.engine_health(t) == ham::offload::target_health::recovering) {
+            // Drive the heal state machine (the probe advances virtual time
+            // towards the re-attach deadline and performs the respawn +
+            // replay when it arrives); queued tasks and parked flights wait
+            // it out.
+            eng_.engine_poll_recovery(t);
+            return false;
+        }
+    } else if ((woke & 7) == step_recovery) {
+        return false; // the recovery poll's pause was its last step
     }
     bool progress = false;
 
     const std::uint32_t win = effective_window(t);
-    // One pooled payload builder (and group scratch) for the whole drain:
-    // reset() rewinds the builder but keeps its heap buffer, so steady-state
-    // dispatch allocates nothing per group (aurora::mem satellite).
-    std::vector<task_id> group;
-    ham::offload::protocol::batch_builder batch{slot_capacity(rt_)};
     while (tq.inflight.size() < win) {
-        if (tq.ready.empty()) {
-            if (cfg_.policy != placement_policy::work_stealing ||
-                !steal_into(t)) {
-                break;
+        std::size_t n = planned_group_[t]; // gathered before the step woken after
+        if (woke == no_step) {
+            if (tq.ready.empty()) {
+                if (cfg_.policy != placement_policy::work_stealing ||
+                    !steal_into(t)) {
+                    break;
+                }
             }
-        }
-
-        // Cancellation point: expired work is dropped here, before it can
-        // consume a message slot — counted, and its dependents cascade.
-        while (!tq.ready.empty() && past_deadline(tq.ready.front())) {
-            const task_id late = tq.ready.front();
-            tq.ready.pop_front();
-            expire_task(late);
-            progress = true;
-        }
-        if (tq.ready.empty()) {
-            continue; // the purge emptied the queue; try to steal again
-        }
-
-        // Gather a group from the queue front: one task, or — with batching —
-        // as many consecutive ones as fit the slot payload and max_batch.
-        group.clear();
-        batch.reset();
-        group.push_back(tq.ready.front());
-        tq.ready.pop_front();
-        if (cfg_.batching && cfg_.max_batch > 1 &&
-            batch.fits(tasks_[group.front()].msg.size())) {
-            batch.append(tasks_[group.front()].msg.data(),
-                         static_cast<std::uint32_t>(
-                             tasks_[group.front()].msg.size()));
-            while (group.size() < cfg_.max_batch && !tq.ready.empty() &&
-                   !past_deadline(tq.ready.front()) &&
-                   batch.fits(tasks_[tq.ready.front()].msg.size())) {
-                const task_id next = tq.ready.front();
+            // Cancellation point: expired work is dropped here, before it
+            // can consume a message slot — counted, and its dependents
+            // cascade.
+            while (!tq.ready.empty() && past_deadline(tq.ready.front())) {
+                const task_id late = tq.ready.front();
                 tq.ready.pop_front();
-                batch.append(tasks_[next].msg.data(),
-                             static_cast<std::uint32_t>(tasks_[next].msg.size()));
-                group.push_back(next);
+                expire_task(late);
+                progress = true;
+            }
+            if (tq.ready.empty()) {
+                continue; // the purge emptied the queue; try to steal again
+            }
+            n = group_size(tq.ready, slot_capacity(rt_));
+        }
+
+        // Gather the group from the queue front into the kept scratch: one
+        // task goes out as a plain user message, two or more as one batch
+        // message (a second construction cost pays for the wrapper).
+        group_.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            group_.push_back(tq.ready.front());
+            tq.ready.pop_front();
+        }
+        if (n > 1) {
+            batch_.reset(slot_capacity(rt_));
+            for (const task_id id : group_) {
+                batch_.append(tasks_[id].msg.data(),
+                              static_cast<std::uint32_t>(tasks_[id].msg.size()));
             }
         }
 
-        // Send: a lone task goes out as a plain user message, two or more as
-        // one batch message (a second construction cost pays for the wrapper).
         AURORA_TRACE_SPAN("sched", "dispatch");
         std::uint64_t ready_ns = 0;
         if (aurora::obs::enabled()) {
-            ready_ns = tasks_[group.front()].ready_at_ns;
-            for (const task_id id : group) {
+            ready_ns = tasks_[group_.front()].ready_at_ns;
+            for (const task_id id : group_) {
                 ready_ns = std::min(ready_ns, tasks_[id].ready_at_ns);
             }
         }
-        flight f;
-        bool sent_ok = false;
-        if (group.size() == 1) {
-            const std::vector<std::byte>& m = tasks_[group.front()].msg;
-            sent_ok = eng_.engine_send(t, m.data(), m.size(),
-                                       ham::offload::protocol::msg_kind::user,
-                                       ready_ns, f.fut);
-        } else {
+        const bool resumed = woke != no_step && (woke & 7) == step_send;
+        if (n > 1 && woke == no_step) {
             aurora::sim::advance(rt_.costs().ham_msg_construct_ns);
-            sent_ok = eng_.engine_send(t, batch.finish(), batch.size(),
-                                       ham::offload::protocol::msg_kind::batch,
-                                       ready_ns, f.fut);
         }
+        woke = no_step;
+        const void* msg = tasks_[group_.front()].msg.data();
+        std::size_t len = tasks_[group_.front()].msg.size();
+        auto kind = ham::offload::protocol::msg_kind::user;
+        if (n > 1) {
+            msg = batch_.finish();
+            len = batch_.size();
+            kind = ham::offload::protocol::msg_kind::batch;
+        }
+        flight f;
+        const bool sent_ok =
+            resumed ? eng_.resume_send(t, msg, len, kind, ready_ns, f.fut)
+                    : eng_.engine_send(t, msg, len, kind, ready_ns, f.fut);
         if (!sent_ok) {
             // The round-robin slot is busy (e.g. host-task put/get traffic).
             // Put the group back in order and retry on the next drain.
-            for (auto it = group.rbegin(); it != group.rend(); ++it) {
+            for (auto it = group_.rbegin(); it != group_.rend(); ++it) {
                 tq.ready.push_front(*it);
             }
             break;
@@ -660,19 +811,17 @@ bool executor::dispatch_target(std::size_t t) {
 
         target_load& load = stats_.per_target[t];
         ++load.messages_sent;
-        if (group.size() > 1) {
+        if (n > 1) {
             ++load.batches_sent;
-            stats_.batched_tasks += group.size();
-            AURORA_TRACE_COUNTER("sched", "batched_tasks", group.size());
+            stats_.batched_tasks += n;
+            AURORA_TRACE_COUNTER("sched", "batched_tasks", n);
         }
-        for (const task_id id : group) {
+        for (const task_id id : group_) {
             tasks_[id].state = task_state::inflight;
             tasks_[id].record.start_seq = event_seq_++;
         }
 
-        f.tasks = std::move(group);
-        f.completed = std::make_shared<bool>(false);
-        f.fut.on_ready([done = f.completed] { *done = true; });
+        f.tasks = group_;
         tq.inflight.push_back(std::move(f));
         progress = true;
     }

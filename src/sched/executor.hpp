@@ -5,9 +5,8 @@
 // submits ready tasks as asynchronous active messages, and load-balances
 // across the engines:
 //
-//   * dependency edges resolve through the offload future machinery (a
-//     flight's future fires its on_ready callback; successors of the landed
-//     tasks enter their ready queues),
+//   * dependency edges resolve as flights land (the front flight's future
+//     tests ready; successors of its tasks enter their ready queues),
 //   * submission applies backpressure — when more than max_queued tasks are
 //     unfinished, submit() blocks in *virtual* time draining completions
 //     instead of failing on slot exhaustion,
@@ -16,7 +15,10 @@
 //     idle engine may take work over an inter-node link,
 //   * consecutive ready tasks bound for the same engine coalesce into one
 //     batch message (protocol::msg_kind::batch) when they fit the slot
-//     payload, amortising the per-message protocol cost of paper Fig. 9.
+//     payload, amortising the per-message protocol cost of paper Fig. 9,
+//   * waiting costs the simulator nothing: after a pass that found nothing
+//     the executor describes its next pass (ham::offload::poll_plan) and
+//     parks until one of its checks would act (sim::poll).
 //
 // Determinism contract: every decision derives from virtual time, submission
 // order and stable tie-breaking (lowest node id, FIFO queues) — never host
@@ -111,7 +113,14 @@ public:
     /// flights, refill the dispatch windows. True when anything progressed.
     /// The pump for callers (aurora::admit) that interleave submission with
     /// their own control flow instead of parking in wait_all().
-    bool poll() { return drain_once(); }
+    bool poll() { return drain_once(no_step); }
+    /// After a poll() that made no progress: the next pass, parked through
+    /// the passes that would find nothing (the caller's own check before
+    /// each pass acting from `also_at` counts too). False when that pass
+    /// acts before it advances (or takes no time): nothing ran and the
+    /// caller runs its pass itself. Else true, with `progress` telling
+    /// whether the rest of the pass that acted made any.
+    bool park_idle(aurora::sim::time_ns also_at, bool& progress);
     /// Submitted tasks not yet settled (done, failed or expired).
     [[nodiscard]] std::size_t unfinished() const noexcept {
         return tasks_.size() - finished_count_;
@@ -144,9 +153,6 @@ private:
     struct flight {
         ham::offload::future<void> fut;
         std::vector<task_id> tasks;
-        /// Set by the future's on_ready callback; shared_ptr so the callback
-        /// stays valid however the deque shuffles its elements.
-        std::shared_ptr<bool> completed;
     };
 
     struct target_queues {
@@ -175,12 +181,43 @@ private:
     /// Record a failure: poison the run under fail_fast, else just remember
     /// the first error text for diagnostics.
     void note_failure(const std::string& what);
-    bool drain_once();
+
+    // --- one pass, and the same pass parked ----------------------------------
+    // A parked pass resumes after one of its steps, named by a tag: the
+    // engine in the high bits, the step's kind in the low three.
+    enum step_kind : std::uint32_t {
+        step_check,     ///< the front flight's future check
+        step_probe,     ///< ...and its probe (step_check + 1)
+        step_recovery,  ///< a recovering engine's poll pause
+        step_construct, ///< building a batch message before its send
+        step_send,      ///< the refused send's probe of the cursor slot
+        step_pause,     ///< the pass's remote-only pause (its last step)
+    };
+    static constexpr std::uint32_t no_step = ~std::uint32_t{0};
+    [[nodiscard]] static std::uint32_t tag_of(std::size_t t, step_kind k) {
+        return static_cast<std::uint32_t>(t) << 3 | k;
+    }
+    /// One pass; from the start (no_step) or from after the step `woke`.
+    bool drain_once(std::uint32_t woke);
+    /// Does a pass that made no progress end with the remote-only pause?
+    [[nodiscard]] bool waits_only_remote();
     void run_host_task(task_id id);
-    bool harvest_target(std::size_t t);
+    bool harvest_target(std::size_t t, std::uint32_t woke);
     void retire_flight(std::size_t t, flight& f);
-    bool dispatch_target(std::size_t t);
+    bool dispatch_target(std::size_t t, std::uint32_t woke);
     bool steal_into(std::size_t thief);
+    /// How many tasks from the front of `q` the next message carries: the
+    /// front one, plus (batching) the consecutive ones that fit `cap` bytes,
+    /// up to max_batch, stopping at one past its deadline.
+    [[nodiscard]] std::size_t group_size(const std::deque<task_id>& q,
+                                         std::size_t cap) const;
+    /// The next pass as the state stands, into plan_.
+    void plan_pass(aurora::sim::time_ns also_at);
+    void plan_dispatch(std::size_t t);
+    /// plan_'s check on engines other VHs drive: 0 once engine_version()
+    /// moved since the plan, else never.
+    [[nodiscard]] static aurora::sim::time_ns engines_moved(const void* self,
+                                                           std::uint64_t);
 
     // --- graceful degradation + self-healing (aurora::fault, aurora::heal) --
     // When a target transitions to target_health::failed (terminal — recovery
@@ -234,6 +271,15 @@ private:
 
     bool failed_ = false;
     std::string first_error_;
+
+    /// The parked pass, and what it fixed when planned: each engine's next
+    /// message length, and engine_version() (read by other VHs' checks).
+    ham::offload::poll_plan plan_;
+    std::vector<std::uint32_t> planned_group_;
+    std::uint64_t engines_seen_ = 0;
+    /// Dispatch scratch, kept across passes: a group's tasks and its batch.
+    std::vector<task_id> group_;
+    ham::offload::protocol::batch_builder batch_{0};
 
     /// Registry-backed telemetry (always on): scheduler counters plus live
     /// per-target queue-depth / in-flight-window gauges, refreshed every

@@ -440,6 +440,7 @@ void simulation::suspend(process& me) {
     }
     me.st_ = process::state::running;
     me.now_ = me.wake_;
+    ++stats_.resumptions;
 }
 
 void simulation::block_current(process& me) {

@@ -143,6 +143,10 @@ class simulation {
 public:
     struct statistics {
         std::uint64_t context_switches = 0; ///< scheduler handoffs between processes
+        /// Returns of a process from a suspension (advance, block, a parked
+        /// poll), whether or not another process ran in between: a process
+        /// alone at its time resumes without a context switch.
+        std::uint64_t resumptions = 0;
         std::uint64_t processes_spawned = 0;
         std::uint64_t events_notified = 0;
     };
