@@ -3,8 +3,9 @@
 // The simulator's own speed bounds how fast the reproduction regenerates the
 // paper's sweeps: these numbers quantify the cost of a scheduler handoff, an
 // event signal, the fast path (a lone runnable process advancing time
-// without any context switch), and idle pollers parked in sim::poll while
-// another process spends a long stretch of virtual time.
+// without any context switch), idle pollers parked in sim::poll while
+// another process spends a long stretch of virtual time, and the set-up of a
+// simulation's processes.
 #include <benchmark/benchmark.h>
 
 #include "sim/engine.hpp"
@@ -75,6 +76,24 @@ void BM_ParkedPollersLongAdvance(benchmark::State& state) {
     state.counters["switches"] = static_cast<double>(switches);
 }
 BENCHMARK(BM_ParkedPollersLongAdvance)->Arg(10'000'000);
+
+void BM_SpawnAndFinish(benchmark::State& state) {
+    // Set-up: one simulation whose processes each take one step and finish,
+    // as many at once as a four-node cluster runs. Every process needs a
+    // stack; one taken from the thread's list of released stacks costs no
+    // mapping, guard page, page faults or unmapping.
+    const auto procs = state.range(0);
+    for (auto _ : state) {
+        simulation s;
+        for (std::int64_t i = 0; i < procs; ++i) {
+            s.spawn("p", [] { advance(1); });
+        }
+        s.run();
+        benchmark::DoNotOptimize(s.now());
+    }
+    state.SetItemsProcessed(state.iterations() * procs);
+}
+BENCHMARK(BM_SpawnAndFinish)->Arg(24);
 
 void BM_EventSignalWake(benchmark::State& state) {
     // Two-event rendezvous: each event is reset by its waiter after

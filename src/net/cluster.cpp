@@ -186,8 +186,7 @@ cluster::~cluster() {
 void cluster::run_gateway(gateway& g) {
     // The same scaffolding as a host process (run.cpp): image registry,
     // execution/target contexts, then a runtime owning this node's VEs.
-    const ham::handler_registry reg =
-        ham::handler_registry::build(ham::offload::host_image_options());
+    const ham::handler_registry& reg = ham::offload::host_image_registry();
     ham::execution_context::scope image_scope(reg);
     // Remote node-0 (the gateway VH itself) allocations are never exercised
     // by routed traffic, but the runtime scaffolding wants a context.

@@ -497,9 +497,7 @@ protocol::comm_layout layout_from(std::uint64_t slots, std::uint64_t msg_size) {
 /// ABI guard (Sec. III-E): compare the host binary's type-table fingerprint
 /// against this image's. 0 = compatible, 1 = mismatch.
 std::uint64_t check_abi(std::uint64_t host_fingerprint) {
-    const ham::handler_registry probe =
-        ham::handler_registry::build(ve_image_options());
-    return probe.fingerprint() == host_fingerprint ? 0 : 1;
+    return ve_image_registry().fingerprint() == host_fingerprint ? 0 : 1;
 }
 
 std::uint64_t c_api_setup_veo(aurora::veos::ve_call_context& ctx) {
@@ -560,9 +558,8 @@ std::uint64_t c_api_ham_main(aurora::veos::ve_call_context& ctx) {
     AURORA_CHECK_MSG(cfg != nullptr,
                      "ham_main called before the communication setup C-API");
 
-    // The VE binary builds its own translation tables at startup (Fig. 6).
-    const ham::handler_registry registry =
-        ham::handler_registry::build(ve_image_options());
+    // The VE binary's own translation tables (Fig. 6).
+    const ham::handler_registry& registry = ve_image_registry();
 
     ve_target_memory memory(proc);
     const node_t node = std::holds_alternative<veo_target_cfg>(*cfg)
@@ -619,6 +616,28 @@ ham::handler_registry::options ve_image_options() {
     // A distinct synthetic code base and a shuffled layout stand in for the
     // NCC-built VE binary: identical type names, different local addresses.
     return {.address_base = 0x7E0000000000, .layout_seed = 0x5EEDABCD1234ULL};
+}
+
+ham::handler_registry::options queue_target_image_options() {
+    return {.address_base = 0x5B0000000000, .layout_seed = 0x10053ACCULL};
+}
+
+const ham::handler_registry& host_image_registry() {
+    static const ham::handler_registry reg =
+        ham::handler_registry::build(host_image_options());
+    return reg;
+}
+
+const ham::handler_registry& ve_image_registry() {
+    static const ham::handler_registry reg =
+        ham::handler_registry::build(ve_image_options());
+    return reg;
+}
+
+const ham::handler_registry& queue_target_image_registry() {
+    static const ham::handler_registry reg =
+        ham::handler_registry::build(queue_target_image_options());
+    return reg;
 }
 
 } // namespace ham::offload

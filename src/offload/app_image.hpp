@@ -10,8 +10,9 @@
 //   ham_comm_setup_vedma (shm_registry, shm_key, slots, msg_size, node, opts)
 //   ham_main             ()
 //
-// and the per-image HAM registry layouts that emulate the two differently
-// laid-out binaries (GCC on the VH, NCC on the VE).
+// and the per-image HAM registry layouts that emulate the differently laid-out
+// binaries (GCC on the VH, NCC on the VE, and the "other binary" the
+// in-process queue targets run as), each image's registry built once.
 #pragma once
 
 #include "ham/handler_registry.hpp"
@@ -34,5 +35,18 @@ ham::handler_registry::options host_image_options();
 /// Registry layout of the VE binary (NCC-built library): different synthetic
 /// code base and shuffled layout, so only key translation can bridge them.
 ham::handler_registry::options ve_image_options();
+
+/// Registry layout of the image the queue backends' targets (loopback and
+/// tcp) run as: a third binary, bridged by key translation like the VE's.
+ham::handler_registry::options queue_target_image_options();
+
+/// Each image's translation tables, built once per OS process on first use
+/// from the options above. The tables are a property of the image (sorted
+/// type names give the same keys in every binary, Sec. III-E), so every
+/// simulated process running that image shares them, as the processes of
+/// one binary share its tables.
+const ham::handler_registry& host_image_registry();
+const ham::handler_registry& ve_image_registry();
+const ham::handler_registry& queue_target_image_registry();
 
 } // namespace ham::offload

@@ -253,8 +253,7 @@ void backend_queue::count_skipped_probes(std::uint32_t, std::uint64_t n) {
 
 std::uint64_t backend_queue::allocate_bytes(std::uint64_t len) {
     AURORA_CHECK(len > 0);
-    auto block = std::make_unique<std::byte[]>(len);
-    std::memset(block.get(), 0, len);
+    auto block = std::make_unique<std::byte[]>(len); // zeroed
     const auto addr = reinterpret_cast<std::uint64_t>(block.get());
     heap_.emplace(addr, std::move(block));
     return addr;

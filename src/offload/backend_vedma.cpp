@@ -101,8 +101,7 @@ void backend_vedma::attach() {
     args->set_u64(6, opt_.vedma_shm_result_threshold);
     args->set_i64(7, opt_.vedma_dma_data_path ? ham_staging_shm_key : 0);
     args->set_u64(8, opt_.vedma_staging_chunk_bytes);
-    args->set_u64(9, ham::handler_registry::build(
-                         host_image_options()).fingerprint());
+    args->set_u64(9, host_image_registry().fingerprint());
     args->set_i64(10, opt_.target_idle_timeout_ns);
     args->set_u64(11, epoch_);
     args->set_u64(12, supports_zero_copy() ? 1 : 0);

@@ -75,8 +75,7 @@ void backend_veo::attach() {
     args->set_u64(1, layout_.recv.slots);
     args->set_u64(2, layout_.recv.msg_size);
     args->set_i64(3, node_);
-    args->set_u64(4, ham::handler_registry::build(
-                         host_image_options()).fingerprint());
+    args->set_u64(4, host_image_registry().fingerprint());
     args->set_i64(5, idle_timeout_ns_);
     args->set_u64(6, epoch_);
     std::uint64_t ret = 0;

@@ -20,9 +20,8 @@ namespace {
 /// The body of one host process: contexts, runtime, user main, teardown.
 int run_app_body(aurora::sim::platform& plat, aurora::veos::veos_system& sys,
                  const runtime_options& opt, const std::function<int()>& host_main) {
-    // The host binary's translation tables (built during its startup).
-    const ham::handler_registry host_reg =
-        ham::handler_registry::build(host_image_options());
+    // The host binary's translation tables.
+    const ham::handler_registry& host_reg = host_image_registry();
     ham::execution_context::scope image_scope(host_reg);
 
     direct_memory hmem;

@@ -54,14 +54,6 @@ struct runtime::target_arena_source final : aurora::mem::region_source {
 
 namespace {
 
-/// The queue backends' targets (loopback and tcp) share one "other binary"
-/// image registry.
-const ham::handler_registry& loopback_target_registry() {
-    static const ham::handler_registry reg = ham::handler_registry::build(
-        {.address_base = 0x5B0000000000, .layout_seed = 0x10053ACCULL});
-    return reg;
-}
-
 std::string failed_what(node_t node, const std::string& reason) {
     std::string what = "offload target node " + std::to_string(node) + " failed";
     if (!reason.empty()) {
@@ -234,7 +226,7 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
                 case backend_kind::loopback:
                 case backend_kind::tcp:
                     state->be = std::make_unique<backend_queue>(
-                        sim_, loopback_target_registry(), costs_, opt_, gid);
+                        sim_, queue_target_image_registry(), costs_, opt_, gid);
                     break;
                 case backend_kind::veo:
                     state->be =
@@ -1406,8 +1398,7 @@ void runtime::ensure_arena(target_state& t, node_t node) {
 std::uint64_t runtime::allocate_raw(node_t node, std::uint64_t bytes) {
     if (node == this_node()) {
         // Host allocation: buffer_ptr on node 0 wraps a real pointer.
-        auto block = std::make_unique<std::byte[]>(bytes);
-        std::memset(block.get(), 0, bytes);
+        auto block = std::make_unique<std::byte[]>(bytes); // zeroed
         const auto addr = reinterpret_cast<std::uint64_t>(block.get());
         host_heap_.emplace(addr, std::move(block));
         return addr;

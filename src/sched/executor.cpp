@@ -421,7 +421,9 @@ void executor::release_ready(task_id id) {
     if (rec.home == 0) {
         host_ready_.push_back(id);
     } else {
-        targets_[index_of(rec.home)].ready.push_back(id);
+        target_queues& tq = targets_[index_of(rec.home)];
+        tq.ready.push_back(id);
+        tq.pinned += rec.opts.pinned ? 1U : 0U;
     }
 }
 
@@ -750,6 +752,7 @@ bool executor::dispatch_target(std::size_t t, std::uint32_t woke) {
             while (!tq.ready.empty() && past_deadline(tq.ready.front())) {
                 const task_id late = tq.ready.front();
                 tq.ready.pop_front();
+                tq.pinned -= tasks_[late].opts.pinned ? 1U : 0U;
                 expire_task(late);
                 progress = true;
             }
@@ -764,8 +767,10 @@ bool executor::dispatch_target(std::size_t t, std::uint32_t woke) {
         // message (a second construction cost pays for the wrapper).
         group_.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            group_.push_back(tq.ready.front());
+            const task_id id = tq.ready.front();
+            group_.push_back(id);
             tq.ready.pop_front();
+            tq.pinned -= tasks_[id].opts.pinned ? 1U : 0U;
         }
         if (n > 1) {
             batch_.reset(slot_capacity(rt_));
@@ -805,6 +810,7 @@ bool executor::dispatch_target(std::size_t t, std::uint32_t woke) {
             // Put the group back in order and retry on the next drain.
             for (auto it = group_.rbegin(); it != group_.rend(); ++it) {
                 tq.ready.push_front(*it);
+                tq.pinned += tasks_[*it].opts.pinned ? 1U : 0U;
             }
             break;
         }
@@ -838,10 +844,8 @@ bool executor::steal_into(std::size_t thief) {
             if (t == thief || (vh_[t] == vh_[thief]) != own_vh) {
                 continue;
             }
-            std::size_t stealable = 0;
-            for (const task_id id : targets_[t].ready) {
-                stealable += tasks_[id].opts.pinned ? 0U : 1U;
-            }
+            const std::size_t stealable =
+                targets_[t].ready.size() - targets_[t].pinned;
             if (stealable > floor) {
                 floor = stealable;
                 victim = t;
@@ -962,6 +966,7 @@ void executor::evacuate(std::size_t dead) {
     met_.failovers->add(1);
     std::deque<task_id> orphans;
     orphans.swap(tq.ready);
+    tq.pinned = 0; // the pinned orphans fail below
     std::uint64_t moved = 0;
     for (const task_id id : orphans) {
         detail::task_rec& rec = tasks_[id];

@@ -157,6 +157,9 @@ private:
 
     struct target_queues {
         std::deque<task_id> ready;
+        /// Pinned tasks in `ready`: steals, failover and rerouting move only
+        /// the others, so ready.size() - pinned of them are stealable.
+        std::size_t pinned = 0;
         std::deque<flight> inflight;
     };
 

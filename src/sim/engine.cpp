@@ -32,13 +32,14 @@ using detail::parked_poll;
 
 constexpr std::uint64_t no_pass = std::numeric_limits<std::uint64_t>::max();
 
-/// Time from pass 0 to pass r (r < n).
+/// Time from pass 0 to pass r (r < n): the sum of steps q.at + 1 .. q.at + r,
+/// which wraps past the last step at most once.
 duration_ns offset(const parked_poll& q, std::size_t r) {
-    duration_ns o = 0;
-    for (std::size_t i = 1; i <= r; ++i) {
-        o += q.steps[(q.at + i) % q.steps.size()];
-    }
-    return o;
+    const std::size_t n = q.steps.size();
+    const std::size_t from = q.at + 1; // <= n
+    const std::size_t to = from + r;
+    return to <= n ? q.prefix[to] - q.prefix[from]
+                   : q.cycle - q.prefix[from] + q.prefix[to - n];
 }
 
 time_ns pass_time(const parked_poll& q, std::uint64_t k) {
@@ -87,9 +88,17 @@ bool runs_before(const parked_poll& a, std::uint64_t ka, const parked_poll& b,
     }
     time_ns ta = pass_time(a, ka);
     time_ns tb = pass_time(b, kb);
+    if (ta != tb) {
+        return ta < tb; // decided by time: no step index needed
+    }
     // Equal steps for a whole joint cycle: the loops move in lockstep, so
     // the one that reaches its pass 0 first going back ran first.
-    const std::uint64_t lockstep = std::uint64_t(a.steps.size()) * b.steps.size();
+    const std::size_t na = a.steps.size();
+    const std::size_t nb = b.steps.size();
+    const std::uint64_t lockstep = std::uint64_t(na) * nb;
+    // The steps that passes ka and kb end.
+    std::size_t sa = (a.at + ka) % na;
+    std::size_t sb = (b.at + kb) % nb;
     for (std::uint64_t back = 0;; ++back) {
         if (ta != tb) {
             return ta < tb;
@@ -103,8 +112,10 @@ bool runs_before(const parked_poll& a, std::uint64_t ka, const parked_poll& b,
         if (back > lockstep) {
             return ka != kb ? ka < kb : a.seq < b.seq;
         }
-        ta -= a.steps[(a.at + ka) % a.steps.size()];
-        tb -= b.steps[(b.at + kb) % b.steps.size()];
+        ta -= a.steps[sa];
+        tb -= b.steps[sb];
+        sa = (sa == 0 ? na : sa) - 1;
+        sb = (sb == 0 ? nb : sb) - 1;
         --ka;
         --kb;
     }
@@ -544,17 +555,25 @@ namespace detail {
 poll_result poll(std::span<const duration_ns> steps, std::size_t first, void* ctx,
                  due_fn due) {
     AURORA_CHECK_MSG(first < steps.size(), "poll: first step out of range");
+    process& me = self();
     parked_poll q;
     q.steps = steps;
-    for (const duration_ns d : steps) {
-        AURORA_CHECK_MSG(d >= 0, "poll step must be non-negative, got " << d);
-        q.cycle += d;
+    // Prefix sums into the process's kept storage: parking allocates only
+    // for a loop longer than any this process parked before.
+    std::vector<duration_ns>& prefix = me.poll_prefix_;
+    prefix.resize(steps.size() + 1);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        AURORA_CHECK_MSG(steps[i] >= 0,
+                         "poll step must be non-negative, got " << steps[i]);
+        prefix[i] = q.cycle;
+        q.cycle += steps[i];
     }
+    prefix[steps.size()] = q.cycle;
     AURORA_CHECK_MSG(q.cycle > 0, "poll steps must not all be zero");
+    q.prefix = prefix;
     q.at = first;
     q.ctx = ctx;
     q.due = due;
-    process& me = self();
     me.sim_.park_current(me, q);
     return {q.at, q.passes, first, steps.size()};
 }

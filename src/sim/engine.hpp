@@ -117,6 +117,8 @@ private:
     /// While parked in poll(): the loop it stands for. wake_ and ready_seq_
     /// are then the key of the loop's next pass.
     detail::parked_poll* poll_ = nullptr;
+    /// Prefix sums of the parked loop's steps, kept across polls.
+    std::vector<duration_ns> poll_prefix_;
     /// Created on the first resume, released once the process finished.
     std::unique_ptr<detail::fiber> fiber_;
     context_slots slots_; ///< this process's context_local values
@@ -294,6 +296,9 @@ namespace detail {
 /// The loop a parked process stands for (see poll()).
 struct parked_poll {
     std::span<const duration_ns> steps;
+    /// prefix[j]: sum of the steps before step j, j = 0..n (the parked
+    /// process owns the storage).
+    std::span<const duration_ns> prefix;
     duration_ns cycle = 0;    ///< sum of steps
     std::size_t at = 0;       ///< the step whose end is the next pass
     std::uint64_t passes = 0; ///< passes skipped so far

@@ -1,8 +1,11 @@
 // Execution stacks of the simulation engine (internal to aurora_sim).
 //
 // A fiber is either the context that called simulation::run() (the thread's
-// own stack) or a simulated process with an mmap'd stack of its own. The
-// engine switches between them on one OS thread. On x86-64 a switch is a
+// own stack) or a simulated process with a stack of its own. Process stacks
+// come from a per-thread list of the stacks that finished processes
+// released; a stack is mapped only when the list is empty, so simulations
+// run back to back on one thread map their stacks once. The engine switches
+// between fibers on one OS thread. On x86-64 a switch is a
 // short assembly routine that saves the System V callee-saved registers
 // (rbx, rbp, r12-r15), MXCSR and the x87 control word on the outgoing stack,
 // swaps stack pointers and restores the same from the incoming stack, so
@@ -27,6 +30,7 @@
 #endif
 
 #include <cstddef>
+#include <cstdint>
 
 namespace aurora::sim::detail {
 
@@ -34,12 +38,15 @@ class fiber {
 public:
     /// The calling thread's current context; resumable once switched away.
     fiber();
-    /// A fresh stack (8 MiB reserved behind a guard page; only touched pages
-    /// become resident) that runs `entry` when first resumed, with the
+    /// A stack (8 MiB reserved behind a guard page; only touched pages become
+    /// resident), taken from this thread's list of released stacks or mapped
+    /// when the list is empty, that runs `entry` when first resumed, with the
     /// floating-point control state of the context that constructs it.
     /// `entry` must call started() first and must never return: it leaves
     /// with switch_to(..., true).
     explicit fiber(void (*entry)());
+    /// Releases an own stack onto this thread's list (unmaps it when the
+    /// list is full).
     ~fiber();
     fiber(const fiber&) = delete;
     fiber& operator=(const fiber&) = delete;
@@ -51,6 +58,9 @@ public:
 
     /// Complete the first switch into a fresh fiber.
     static void started();
+
+    /// How many stacks the calling thread has mapped so far.
+    [[nodiscard]] static std::uint64_t stacks_mapped() noexcept;
 
 private:
     /// Layout of __cxxabiv1::__cxa_eh_globals (libstdc++ and libc++abi).
@@ -65,7 +75,6 @@ private:
     ucontext_t ctx_{};
 #endif
     void* map_ = nullptr; ///< stack mapping, guard page first (own stacks)
-    std::size_t map_bytes_ = 0;
     eh_globals eh_; ///< this context's exception globals while suspended
     // Sanitizer bookkeeping (unused in plain builds).
     const void* stack_bottom_ = nullptr;

@@ -21,8 +21,7 @@ void phys_memory::check_range(std::uint64_t addr, std::uint64_t n) const {
 std::byte* phys_memory::chunk_for_write(std::uint64_t chunk_index) {
     auto& slot = chunks_[chunk_index];
     if (slot == nullptr) {
-        slot = std::make_unique<std::byte[]>(chunk_size);
-        std::memset(slot.get(), 0, chunk_size);
+        slot = std::make_unique<std::byte[]>(chunk_size); // zeroed
     }
     return slot.get();
 }

@@ -1,6 +1,6 @@
 #include "sim/vh_memory.hpp"
 
-#include <cstring>
+#include <sys/mman.h>
 
 #include "util/check.hpp"
 
@@ -44,16 +44,25 @@ page_size vh_page_registry::lookup(const void* ptr) const {
 
 vh_allocation::vh_allocation(vh_page_registry& registry, std::uint64_t bytes,
                              page_size ps)
-    : registry_(registry),
-      data_(std::make_unique<std::byte[]>(bytes)),
-      bytes_(bytes),
-      ps_(ps) {
-    std::memset(data_.get(), 0, bytes_);
-    registry_.register_range(data_.get(), bytes_, ps_);
+    : registry_(registry), bytes_(bytes), ps_(ps) {
+    if (bytes_ >= vh_mapped_min_bytes) {
+        void* const map = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        AURORA_CHECK_MSG(map != MAP_FAILED,
+                         "cannot map a VH allocation of " << bytes_ << " bytes");
+        data_ = static_cast<std::byte*>(map);
+    } else {
+        heap_ = std::make_unique<std::byte[]>(bytes_); // value-initialised
+        data_ = heap_.get();
+    }
+    registry_.register_range(data_, bytes_, ps_);
 }
 
 vh_allocation::~vh_allocation() {
-    registry_.unregister_range(data_.get());
+    registry_.unregister_range(data_);
+    if (heap_ == nullptr) {
+        munmap(data_, bytes_);
+    }
 }
 
 } // namespace aurora::sim

@@ -40,8 +40,18 @@ private:
     std::map<std::uintptr_t, range> ranges_;
 };
 
+/// An allocation of at least this size is an anonymous private mapping, not
+/// a heap block: the kernel zero-fills each of its pages on first touch, as
+/// it does for shmget memory, so a large segment (data_path's 8 MiB staging
+/// segment, of which a 4 KiB transfer touches one page) costs only the pages
+/// a run touches. One 2 MiB huge page is the smallest segment the paper's
+/// DMA set-up maps. Below it (a vedma target's ~64 KiB comm segment) zeroing
+/// a block of warm heap once is cheaper than faulting in fresh pages.
+inline constexpr std::uint64_t vh_mapped_min_bytes = page_bytes(page_size::huge_2m);
+
 /// RAII host allocation registered with a page size, modelling an allocation
-/// from hugetlbfs (or plain malloc for 4 KiB pages).
+/// from hugetlbfs (or plain malloc for 4 KiB pages). Reads zero until
+/// written.
 class vh_allocation {
 public:
     vh_allocation(vh_page_registry& registry, std::uint64_t bytes, page_size ps);
@@ -49,14 +59,15 @@ public:
     vh_allocation& operator=(vh_allocation&&) = delete;
     ~vh_allocation();
 
-    [[nodiscard]] std::byte* data() noexcept { return data_.get(); }
-    [[nodiscard]] const std::byte* data() const noexcept { return data_.get(); }
+    [[nodiscard]] std::byte* data() noexcept { return data_; }
+    [[nodiscard]] const std::byte* data() const noexcept { return data_; }
     [[nodiscard]] std::uint64_t size() const noexcept { return bytes_; }
     [[nodiscard]] page_size pages() const noexcept { return ps_; }
 
 private:
     vh_page_registry& registry_;
-    std::unique_ptr<std::byte[]> data_;
+    std::unique_ptr<std::byte[]> heap_; ///< below vh_mapped_min_bytes
+    std::byte* data_ = nullptr;         ///< heap_ or the mapping
     std::uint64_t bytes_;
     page_size ps_;
 };

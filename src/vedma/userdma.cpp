@@ -36,8 +36,8 @@ void user_dma_engine::copy_bytes(const dma_resolution& dst, const dma_resolution
     } else if (src.k == dma_resolution::kind::ve && dst.k == dma_resolution::kind::vh) {
         hbm.read(src.ve_paddr, dst.vh_ptr, len);
     } else if (src.k == dma_resolution::kind::ve && dst.k == dma_resolution::kind::ve) {
-        // Local HBM-to-HBM copy through a bounce buffer.
-        auto tmp = std::make_unique<std::byte[]>(len);
+        // Local HBM-to-HBM copy through a bounce buffer (read fills it).
+        auto tmp = std::make_unique_for_overwrite<std::byte[]>(len);
         hbm.read(src.ve_paddr, tmp.get(), len);
         hbm.write(dst.ve_paddr, tmp.get(), len);
     } else {

@@ -29,6 +29,37 @@ TEST(AbiGuard, FingerprintDeterministicAcrossBuilds) {
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
+TEST(AbiGuard, ImageRegistriesEqualAFreshBuild) {
+    // Each image's registry is built once per OS process; it must hold the
+    // tables a build with the image's options yields: same keys, addresses,
+    // names, function keys and fingerprint.
+    const std::size_t catalog = ham::message_catalog::instance().entries().size();
+    for (const auto& [once, opt] :
+         {std::pair{&host_image_registry(), host_image_options()},
+          std::pair{&ve_image_registry(), ve_image_options()},
+          std::pair{&queue_target_image_registry(),
+                    queue_target_image_options()}}) {
+        const auto fresh = ham::handler_registry::build(opt);
+        EXPECT_EQ(once->fingerprint(), fresh.fingerprint());
+        ASSERT_EQ(once->handler_count(), fresh.handler_count());
+        ASSERT_EQ(once->handler_count(), catalog);
+        for (std::size_t i = 0; i < catalog; ++i) {
+            const handler_key key = fresh.key_of_catalog_index(i);
+            EXPECT_EQ(once->key_of_catalog_index(i), key);
+            EXPECT_EQ(once->address_of_key(key), fresh.address_of_key(key));
+            EXPECT_EQ(once->name_of_key(key), fresh.name_of_key(key));
+        }
+        ASSERT_EQ(once->function_count(), fresh.function_count());
+        for (std::size_t k = 0; k < fresh.function_count(); ++k) {
+            const auto key = static_cast<function_key>(k);
+            EXPECT_EQ(once->function_of_key(key), fresh.function_of_key(key));
+        }
+    }
+    EXPECT_EQ(&host_image_registry(), &host_image_registry());
+    EXPECT_NE(host_image_registry().address_of_key(0),
+              ve_image_registry().address_of_key(0));
+}
+
 TEST(AbiGuard, CompatibleBinariesPassEndToEnd) {
     aurora::sim::platform plat(aurora::sim::platform_config::test_machine());
     runtime_options opt;

@@ -110,6 +110,35 @@ TEST(SchedPolicy, PinnedTasksNeverMigrate) {
     });
 }
 
+TEST(SchedPolicy, StealsFromTheQueueWithTheMostUnpinnedTasks) {
+    // Node 1 holds the deepest queue, all of it pinned; node 2 holds fewer
+    // tasks, none pinned. Idle node 3 may only steal node 2's.
+    run_sched(3, [] {
+        std::vector<std::uint64_t> counters(30, 0);
+        task_graph g;
+        for (std::size_t i = 0; i < counters.size(); ++i) {
+            const bool pinned = i < 20;
+            (void)g.add(
+                ham::f2f<&sk::cost_kernel>(std::int64_t{2000}, &counters[i]),
+                {.affinity = pinned ? 1 : 2, .pinned = pinned});
+        }
+        executor ex{{.policy = placement_policy::work_stealing,
+                     .window = 1,
+                     .max_batch = 2}};
+        ex.run(g);
+        EXPECT_GT(ex.stats().steals, 0u);
+        EXPECT_GT(ex.stats().per_target.at(2).tasks_stolen_in, 0u);
+        for (const completion_record& r : ex.trace()) {
+            if (r.id < 20) {
+                EXPECT_EQ(r.executed_on, 1) << "task " << r.id;
+            }
+        }
+        for (const std::uint64_t c : counters) {
+            EXPECT_EQ(c, 1u);
+        }
+    });
+}
+
 TEST(SchedPolicy, StealingPreservesDependencies) {
     // Chains force repeated ready/steal cycles; order must still hold.
     run_sched(3, [] {

@@ -1,8 +1,10 @@
 // Engine tests for what must follow a simulated process across fiber
 // switches: libstdc++'s exception state, the floating-point control state,
 // context_local values (the HAM execution context and the offload target
-// context), the unwinding of suspended processes on abort, and teardown of a
-// simulation that never ran.
+// context), the unwinding of suspended processes on abort, teardown of a
+// simulation that never ran, and the reuse of released stacks: nothing of a
+// stack's previous process carries over, and simulations run back to back
+// map no new stack.
 #include <algorithm>
 #include <cfenv>
 #include <exception>
@@ -17,6 +19,7 @@
 #include "offload/target.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
+#include "sim/fiber.hpp"
 
 namespace aurora::sim {
 namespace {
@@ -194,6 +197,121 @@ TEST(EngineFiber, AbortUnwindsSuspendedProcessesBeforeRethrow) {
     std::sort(log.begin(), log.end());
     EXPECT_EQ(log, (std::vector<std::string>{"sleeper unwound", "waiter unwound"}));
     EXPECT_EQ(s.now(), 10);
+}
+
+/// Recurse `depth` frames of 1 KiB each, then suspend at the bottom.
+int recurse_then_suspend(int depth) {
+    volatile char frame[1024];
+    frame[0] = static_cast<char>(depth);
+    frame[sizeof(frame) - 1] = frame[0];
+    if (depth == 0) {
+        advance(1_s); // unwound from here by the abort
+        return 0;
+    }
+    return recurse_then_suspend(depth - 1) + frame[sizeof(frame) - 1];
+}
+
+TEST(EngineFiber, ReusedStackStartsClean) {
+    // The first simulation leaves its stacks behind in every state a process
+    // can end in: returned from inside a catch block, unwound by an abort
+    // while suspended in a catch block, unwound from deep recursion with the
+    // rounding mode changed, and thrown out of its body.
+    auto first = std::make_unique<simulation>();
+    first->spawn("returns-in-catch", [] {
+        try {
+            throw std::runtime_error("caught");
+        } catch (const std::runtime_error&) {
+            advance(5_ns);
+            return;
+        }
+    });
+    first->spawn("suspended-in-catch", [] {
+        try {
+            throw std::runtime_error("held");
+        } catch (const std::runtime_error&) {
+            advance(1_s); // unwound from here by the abort
+        }
+    });
+    first->spawn("deep", [] {
+        std::fesetround(FE_UPWARD);
+        (void)recurse_then_suspend(2048); // 2 MiB of stack
+    });
+    first->spawn("boom", [] {
+        advance(10_ns);
+        throw std::runtime_error("kaboom");
+    });
+    EXPECT_THROW(first->run(), std::runtime_error);
+    first.reset();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+
+    // The next simulation, as many processes again, gets those four stacks
+    // back (the list hands out the latest released first). Each process
+    // starts with its creator's rounding mode (downward, set on this thread)
+    // and no exception state, and is unwound by an abort, one of them after
+    // throwing and catching.
+    const std::uint64_t mapped = detail::fiber::stacks_mapped();
+    simulation second;
+    std::vector<std::string> log;
+    for (int i = 0; i < 3; ++i) {
+        second.spawn('p' + std::to_string(i), [&log, i] {
+            EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+            EXPECT_EQ(std::current_exception(), nullptr);
+            EXPECT_EQ(std::uncaught_exceptions(), 0);
+            try {
+                (void)recurse_then_suspend(4 + i);
+            } catch (const simulation_aborted&) {
+                log.push_back("p" + std::to_string(i) + " unwound");
+                throw;
+            }
+        });
+    }
+    second.spawn("boom", [] {
+        EXPECT_EQ(std::fegetround(), FE_DOWNWARD);
+        EXPECT_EQ(std::current_exception(), nullptr);
+        try {
+            throw std::logic_error("thrown and caught");
+        } catch (const std::logic_error&) {
+            advance(10_ns);
+        }
+        throw std::runtime_error("second kaboom");
+    });
+    std::fesetround(FE_DOWNWARD);
+    EXPECT_THROW(second.run(), std::runtime_error);
+    std::fesetround(FE_TONEAREST);
+    EXPECT_EQ(detail::fiber::stacks_mapped(), mapped);
+    std::sort(log.begin(), log.end());
+    EXPECT_EQ(log, (std::vector<std::string>{"p0 unwound", "p1 unwound",
+                                             "p2 unwound"}));
+    EXPECT_EQ(std::current_exception(), nullptr);
+}
+
+TEST(EngineFiber, BackToBackSimulationsMapNoNewStack) {
+    static constexpr int procs = 12;
+    auto one_simulation = [](int spawned_during_run) {
+        simulation s;
+        int done = 0;
+        for (int i = 0; i < procs - spawned_during_run; ++i) {
+            s.spawn('p' + std::to_string(i), [&s, &done, i, spawned_during_run] {
+                advance(duration_ns(1 + i));
+                if (i < spawned_during_run) {
+                    s.spawn("child", [&done] {
+                        advance(3_ns);
+                        ++done;
+                    });
+                }
+                advance(5_ns);
+                ++done;
+            });
+        }
+        s.run();
+        EXPECT_EQ(done, procs);
+    };
+    one_simulation(0);
+    const std::uint64_t mapped = detail::fiber::stacks_mapped();
+    for (int round = 0; round < 5; ++round) {
+        one_simulation(round);
+        EXPECT_EQ(detail::fiber::stacks_mapped(), mapped) << "round " << round;
+    }
 }
 
 TEST(EngineFiber, SimulationDestroyedWithoutRunReleasesProcesses) {

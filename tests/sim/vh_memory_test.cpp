@@ -1,5 +1,7 @@
 #include "sim/vh_memory.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "util/check.hpp"
@@ -58,19 +60,27 @@ TEST(VhPageRegistry, NullPointerRejected) {
 }
 
 TEST(VhAllocation, RegistersAndUnregistersItself) {
-    vh_page_registry reg;
-    {
-        vh_allocation a(reg, 1024, page_size::huge_2m);
-        EXPECT_EQ(reg.lookup(a.data()), page_size::huge_2m);
-        EXPECT_EQ(a.size(), 1024u);
-        EXPECT_EQ(a.pages(), page_size::huge_2m);
-        EXPECT_EQ(reg.registered_count(), 1u);
-        // Memory is zero-initialised.
-        for (std::uint64_t i = 0; i < a.size(); ++i) {
-            EXPECT_EQ(std::to_integer<int>(a.data()[i]), 0);
+    // A heap block below vh_mapped_min_bytes, a mapping from it on.
+    for (const std::uint64_t bytes : {std::uint64_t{1024}, vh_mapped_min_bytes,
+                                      3 * vh_mapped_min_bytes + 100}) {
+        vh_page_registry reg;
+        {
+            vh_allocation a(reg, bytes, page_size::huge_2m);
+            EXPECT_EQ(reg.lookup(a.data()), page_size::huge_2m);
+            EXPECT_EQ(reg.lookup(a.data() + bytes - 1), page_size::huge_2m);
+            EXPECT_EQ(a.size(), bytes);
+            EXPECT_EQ(a.pages(), page_size::huge_2m);
+            EXPECT_EQ(reg.registered_count(), 1u);
+            // Memory is zero-initialised: the first and last byte of every
+            // 4 KiB page read zero.
+            for (std::uint64_t page = 0; page < bytes; page += 4 * KiB) {
+                const std::uint64_t last = std::min(page + 4 * KiB, bytes) - 1;
+                EXPECT_EQ(std::to_integer<int>(a.data()[page]), 0) << bytes;
+                EXPECT_EQ(std::to_integer<int>(a.data()[last]), 0) << bytes;
+            }
         }
+        EXPECT_EQ(reg.registered_count(), 0u);
     }
-    EXPECT_EQ(reg.registered_count(), 0u);
 }
 
 } // namespace

@@ -1,5 +1,8 @@
 #include "vedma/sysv_shm.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "support/sim_fixture.hpp"
@@ -55,6 +58,29 @@ TEST(SysvShm, MemoryZeroInitialised) {
         const shm_segment& seg = shms.create(2, 256, sim::page_size::huge_2m, 0);
         for (std::uint64_t i = 0; i < seg.len; ++i) {
             EXPECT_EQ(std::to_integer<int>(seg.addr[i]), 0);
+        }
+    });
+}
+
+TEST(SysvShm, RecreatedSegmentReadsZero) {
+    // A segment written all over and destroyed leaves nothing behind in the
+    // next one of its size, a heap block (256 B) or a mapping (8 MiB).
+    aurora_fixture fx;
+    shm_registry shms(fx.plat);
+    fx.run([&] {
+        for (const std::uint64_t len : {std::uint64_t{256}, 8 * MiB}) {
+            const shm_segment& old =
+                shms.create(9, len, sim::page_size::huge_2m, 0);
+            std::memset(old.addr, 0xA5, len);
+            shms.destroy(9);
+            const shm_segment& seg =
+                shms.create(9, len, sim::page_size::huge_2m, 0);
+            for (std::uint64_t page = 0; page < len; page += 4 * KiB) {
+                const std::uint64_t last = std::min(page + 4 * KiB, len) - 1;
+                EXPECT_EQ(std::to_integer<int>(seg.addr[page]), 0) << len;
+                EXPECT_EQ(std::to_integer<int>(seg.addr[last]), 0) << len;
+            }
+            shms.destroy(9);
         }
     });
 }
