@@ -100,6 +100,7 @@ server::server(config cfg) : cfg_(cfg), exec_(serving_exec(cfg)) {
     }
     breaker_gauges_.resize(num_targets_);
     breaker_trips_.resize(num_targets_);
+    trips_exported_.resize(num_targets_);
     for (std::size_t t = 0; t < num_targets_; ++t) {
         const std::string lbl =
             m::labels({{"node", std::to_string(t + 1)}});
@@ -149,15 +150,13 @@ server::tenant_instruments& server::instruments_for(const std::string& tenant) {
 session_id server::open(session_options opts) {
     AURORA_CHECK_MSG(opts.weight > 0, "session weight must be positive");
     AURORA_CHECK_MSG(opts.max_queued > 0, "session max_queued must be positive");
-    const session_id sid = next_sid_++;
-    session_rec rec;
+    session_rec& rec = sessions_.emplace_back();
     rec.opts = std::move(opts);
     rec.open = true;
     rec.met = &instruments_for(rec.opts.tenant);
     rec.met->sessions_open->add(1);
     ++open_sessions_;
-    sessions_.emplace(sid, std::move(rec));
-    return sid;
+    return sessions_.size();
 }
 
 void server::close(session_id sid) {
@@ -191,9 +190,9 @@ void server::close(session_id sid) {
 }
 
 session_stats server::stats(session_id sid) const {
-    const auto it = sessions_.find(sid);
-    AURORA_CHECK_MSG(it != sessions_.end(), "unknown session " << sid);
-    const session_rec& s = it->second;
+    AURORA_CHECK_MSG(sid >= 1 && sid <= sessions_.size(),
+                     "unknown session " << sid);
+    const session_rec& s = sessions_[sid - 1];
     session_stats out;
     out.admitted = s.admitted;
     out.shed = s.shed;
@@ -206,19 +205,9 @@ session_stats server::stats(session_id sid) const {
 }
 
 server::session_rec& server::rec_for(session_id sid) {
-    const auto it = sessions_.find(sid);
-    AURORA_CHECK_MSG(it != sessions_.end(), "unknown session " << sid);
-    return it->second;
-}
-
-void server::shed(session_rec& s, const std::string& why,
-                  std::int64_t retry_after_ns) {
-    ++s.shed;
-    ++stats_.shed;
-    s.met->shed->add(1);
-    AURORA_TRACE_COUNTER("admit", "shed", 1);
-    aurora::obs::emit_now(aurora::obs::stage::shed, 0, next_serial_++, 0, 0);
-    throw admission_error(why, retry_after_ns);
+    AURORA_CHECK_MSG(sid >= 1 && sid <= sessions_.size(),
+                     "unknown session " << sid);
+    return sessions_[sid - 1];
 }
 
 std::int64_t server::occupancy_retry_hint() const {
@@ -230,23 +219,32 @@ std::int64_t server::occupancy_retry_hint() const {
                backlog() / std::max<std::size_t>(num_targets_, 1) + 1);
 }
 
-request server::submit_serialized(session_id sid, std::vector<std::byte> msg,
-                                  const request_options& ro) {
-    session_rec& s = rec_for(sid);
+bool server::refused(session_rec& s, session_id sid,
+                     const request_options& ro, bool& probe) {
+    // Counts the refusal and leaves its text, the concatenation of `parts`,
+    // in refusal_, whose capacity is reused.
+    const auto refuse = [&](std::int64_t retry_after_ns, const auto&... parts) {
+        ++s.shed;
+        ++stats_.shed;
+        s.met->shed->add(1);
+        AURORA_TRACE_COUNTER("admit", "shed", 1);
+        aurora::obs::emit_now(aurora::obs::stage::shed, 0, next_serial_++, 0, 0);
+        refusal_.clear();
+        ((refusal_ += parts), ...);
+        refusal_retry_ns_ = retry_after_ns;
+        return true;
+    };
     if (!s.open) {
-        shed(s, "session " + std::to_string(sid) + " is closed", 0);
+        return refuse(0, "session ", std::to_string(sid), " is closed");
     }
     if (s.opts.quota != 0 && s.admitted >= s.opts.quota) {
-        shed(s,
-             "session " + std::to_string(sid) + " quota exhausted (" +
-                 std::to_string(s.opts.quota) + " requests)",
-             0);
+        return refuse(0, "session ", std::to_string(sid), " quota exhausted (",
+                      std::to_string(s.opts.quota), " requests)");
     }
     if (s.queue.size() >= s.opts.max_queued) {
-        shed(s,
-             "session " + std::to_string(sid) + " queue full (" +
-                 std::to_string(s.opts.max_queued) + " queued)",
-             occupancy_retry_hint());
+        return refuse(occupancy_retry_hint(), "session ", std::to_string(sid),
+                      " queue full (", std::to_string(s.opts.max_queued),
+                      " queued)");
     }
     // Priority-aware occupancy shedding: background gives way first, batch
     // next, latency only when the shared backlog is truly full.
@@ -255,34 +253,27 @@ request server::submit_serialized(session_id sid, std::vector<std::byte> msg,
     switch (s.opts.cls) {
         case qos_class::background:
             if (bl * 100 >= cap * cfg_.shed_background_pct) {
-                shed(s,
-                     "backlog " + std::to_string(bl) + "/" +
-                         std::to_string(cap) +
-                         " above the background shed threshold",
-                     occupancy_retry_hint());
+                return refuse(occupancy_retry_hint(), "backlog ",
+                              std::to_string(bl), "/", std::to_string(cap),
+                              " above the background shed threshold");
             }
             break;
         case qos_class::batch:
             if (bl * 100 >= cap * cfg_.shed_batch_pct) {
-                shed(s,
-                     "backlog " + std::to_string(bl) + "/" +
-                         std::to_string(cap) +
-                         " above the batch shed threshold",
-                     occupancy_retry_hint());
+                return refuse(occupancy_retry_hint(), "backlog ",
+                              std::to_string(bl), "/", std::to_string(cap),
+                              " above the batch shed threshold");
             }
             break;
         case qos_class::latency:
             if (bl >= cap) {
-                shed(s,
-                     "backlog full (" + std::to_string(bl) + "/" +
-                         std::to_string(cap) + ")",
-                     occupancy_retry_hint());
+                return refuse(occupancy_retry_hint(), "backlog full (",
+                              std::to_string(bl), "/", std::to_string(cap), ")");
             }
             break;
     }
     // Breaker check last, so allow() marks a half-open probe only when every
     // other admission gate already passed.
-    bool is_probe = false;
     if (ro.affinity != sched::any_node && ro.affinity > 0) {
         AURORA_CHECK_MSG(static_cast<std::size_t>(ro.affinity) <= num_targets_,
                          "request affinity " << ro.affinity
@@ -294,14 +285,18 @@ request server::submit_serialized(session_id sid, std::vector<std::byte> msg,
             // taken: retry_after() is 0, but every resubmission sheds until
             // the probe settles — hint one dispatch cost so well-behaved
             // clients back off instead of spinning.
-            shed(s,
-                 "circuit breaker open for node " +
-                     std::to_string(ro.affinity),
-                 std::max<std::int64_t>(b.retry_after(), dispatch_cost_ns_));
+            return refuse(
+                std::max<std::int64_t>(b.retry_after(), dispatch_cost_ns_),
+                "circuit breaker open for node ", std::to_string(ro.affinity));
         }
-        is_probe = half_open; // allow() passed in half_open: this IS the probe
+        probe = half_open; // allow() passed in half_open: this IS the probe
     }
+    return false;
+}
 
+request server::enqueue(session_rec& s, session_id sid,
+                        std::vector<std::byte> msg, const request_options& ro,
+                        bool probe) {
     auto r = std::make_shared<detail::request_state>();
     r->sid = sid;
     r->cls = s.opts.cls;
@@ -313,11 +308,14 @@ request server::submit_serialized(session_id sid, std::vector<std::byte> msg,
                                ? sim::now() + s.opts.default_deadline_ns
                                : 0;
     r->msg = std::move(msg);
-    r->probe = is_probe;
+    r->probe = probe;
     r->topts.affinity = ro.affinity;
     r->topts.pinned = ro.pinned;
     r->topts.cost_ns = ro.cost_ns;
     r->topts.deadline_ns = r->deadline_ns;
+    if (r->deadline_ns > 0) {
+        next_expiry_ = std::min(next_expiry_, r->deadline_ns);
+    }
     s.queue.push_back(r);
     if (s.queue.size() == 1) {
         queued_sessions_.emplace(sid, &s);
@@ -349,7 +347,11 @@ void server::expire_request(session_rec& s, const request_ptr& r) {
 
 bool server::expire_queued() {
     const sim::time_ns now = sim::now();
+    if (now < next_expiry_) {
+        return false;
+    }
     bool progress = false;
+    next_expiry_ = sim::never;
     for (auto qit = queued_sessions_.begin(); qit != queued_sessions_.end();) {
         session_rec& s = *qit->second;
         for (auto it = s.queue.begin(); it != s.queue.end();) {
@@ -361,6 +363,9 @@ bool server::expire_queued() {
                 --queued_total_;
                 progress = true;
             } else {
+                if (r->deadline_ns > 0) {
+                    next_expiry_ = std::min(next_expiry_, r->deadline_ns);
+                }
                 ++it;
             }
         }
@@ -537,9 +542,9 @@ void server::refresh_gauges() {
         breaker_gauges_[t]->set(
             static_cast<std::int64_t>(breakers_[t].state()));
         const std::uint64_t trips = breakers_[t].trips();
-        const std::uint64_t seen = breaker_trips_[t]->value();
-        if (trips > seen) {
-            breaker_trips_[t]->add(trips - seen);
+        if (trips > trips_exported_[t]) {
+            breaker_trips_[t]->add(trips - trips_exported_[t]);
+            trips_exported_[t] = trips;
         }
     }
     backlog_gauge_->set(static_cast<std::int64_t>(backlog()));

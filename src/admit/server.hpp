@@ -14,7 +14,9 @@
 //              breakers and per-tenant metrics are fed from outcomes.
 //
 // Rejections throw ham::offload::admission_error at submit() — the request
-// was never accepted and holds no memory. Accepted requests always settle
+// was never accepted and holds no memory. The server decides and counts a
+// refusal without throwing; the inline submit() then throws once, with
+// nothing of its own left to clean up. Accepted requests always settle
 // (done, failed, expired, or shed-on-close), never hang, never vanish.
 #pragma once
 
@@ -29,6 +31,7 @@
 #include "admit/admit.hpp"
 #include "admit/breaker.hpp"
 #include "metrics/metrics.hpp"
+#include "offload/future.hpp"
 #include "sched/executor.hpp"
 
 namespace aurora::admit {
@@ -131,15 +134,25 @@ public:
     }
 
     // --- requests -----------------------------------------------------------
-    template <typename Functor>
-    request submit(session_id sid, Functor f, request_options ro = {}) {
-        return submit_serialized(sid, sched::detail::serialize_task(f), ro);
-    }
     /// Admission choke point. Throws ham::offload::admission_error (with a
     /// retry-after hint) when the request is rejected; the request was never
     /// recorded. Accepted requests are queued (or dispatched immediately).
-    request submit_serialized(session_id sid, std::vector<std::byte> msg,
-                              const request_options& ro);
+    /// The task is serialized first, so a refused one costs its construction
+    /// in virtual time too.
+    template <typename Functor>
+    request submit(session_id sid, Functor f, request_options ro = {}) {
+        {
+            std::vector<std::byte> msg = sched::detail::serialize_task(f);
+            session_rec& s = rec_for(sid);
+            bool probe = false;
+            if (!refused(s, sid, ro, probe)) {
+                return enqueue(s, sid, std::move(msg), ro, probe);
+            }
+        }
+        // Nothing of this frame is left to destroy, so the unwinder runs no
+        // cleanup here on its way to the caller's handler.
+        throw ham::offload::admission_error(refusal_, refusal_retry_ns_);
+    }
 
     // --- pumping ------------------------------------------------------------
     /// One cooperative tick: expire overdue queued work, WFQ-dispatch into
@@ -201,10 +214,18 @@ private:
 
     [[nodiscard]] tenant_instruments& instruments_for(const std::string& tenant);
     [[nodiscard]] session_rec& rec_for(session_id sid);
-    /// Reject with admission_error after counting the shed per tenant/server.
-    [[noreturn]] void shed(session_rec& s, const std::string& why,
-                           std::int64_t retry_after_ns);
-    /// Deadline sweep over every session queue (cancel + settle + count).
+    /// The admission gates, in order: session open, quota, session queue
+    /// bound, occupancy by class, breaker. True when one refuses: the
+    /// refusal is counted per session, tenant and server, and its text and
+    /// hint are left in refusal_ and refusal_retry_ns_. Otherwise `probe`
+    /// is set when the request is a half-open breaker's probe.
+    [[nodiscard]] bool refused(session_rec& s, session_id sid,
+                               const request_options& ro, bool& probe);
+    /// Queue an admitted request, then dispatch what fits.
+    request enqueue(session_rec& s, session_id sid, std::vector<std::byte> msg,
+                    const request_options& ro, bool probe);
+    /// Deadline sweep over every session queue (cancel + settle + count);
+    /// returns at once before the earliest queued deadline can be due.
     bool expire_queued();
     /// Settle one queued request as expired (never dispatched).
     void expire_request(session_rec& s, const request_ptr& r);
@@ -222,16 +243,24 @@ private:
     sched::executor exec_;
     std::size_t num_targets_ = 0;
     std::size_t dispatch_window_ = 0; ///< resolved cfg_.dispatch_window
-    /// Every session ever opened: closed ones stay so stats(sid) answers.
-    std::map<session_id, session_rec> sessions_;
+    /// Every session ever opened, at index id - 1 (ids are dense from 1 and
+    /// never reused): closed ones stay so stats(sid) answers. A deque, so an
+    /// open() never moves the records queued_sessions_ points to.
+    std::deque<session_rec> sessions_;
     /// The sessions whose queue is non-empty, in id order. Dispatch and the
     /// deadline sweep walk only these, so their cost follows the queued
     /// sessions, not every session the server has seen.
     std::map<session_id, session_rec*> queued_sessions_;
-    session_id next_sid_ = 1;
     std::uint64_t next_serial_ = 1;
     std::size_t open_sessions_ = 0;
     std::size_t queued_total_ = 0; ///< across all session queues
+    /// No queued deadline is earlier than this (sim::never: none queued).
+    /// Enqueue lowers it and each sweep recomputes it from what stays, so a
+    /// request that leaves otherwise costs at most one empty sweep.
+    sim::time_ns next_expiry_ = sim::never;
+    /// The last refusal's what() text and retry-after hint.
+    std::string refusal_;
+    std::int64_t refusal_retry_ns_ = 0;
     std::vector<request_ptr> inflight_; ///< awaiting executor settlement
     std::vector<breaker> breakers_;     ///< index = target - 1
     /// Round-robin cursors per QoS class (session-id the next scan starts
@@ -243,6 +272,9 @@ private:
     std::array<aurora::metrics::histogram*, num_qos_classes> latency_ns_{};
     std::vector<aurora::metrics::gauge*> breaker_gauges_; ///< index = target-1
     std::vector<aurora::metrics::counter*> breaker_trips_; ///< index = target-1
+    /// This server's trips already added to breaker_trips_ (index =
+    /// target-1): the counter is process-wide, so it sums every server's.
+    std::vector<std::uint64_t> trips_exported_;
     aurora::metrics::gauge* backlog_gauge_ = nullptr;
     /// Cached cost_model::ham_msg_dispatch_ns — the unit of retry-after hints.
     std::int64_t dispatch_cost_ns_ = 0;

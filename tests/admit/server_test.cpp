@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "tests/admit/admit_test_common.hpp"
+#include "tests/support/trace_digest.hpp"
 
 namespace aurora::admit {
 namespace {
@@ -16,6 +19,37 @@ namespace {
 using ham::offload::admission_error;
 using ham::offload::deadline_exceeded_error;
 using ham::offload::offload_error;
+
+/// Submits a request admission must refuse and checks that the refusal left
+/// no trace: the session's and the server's admitted count, the session's
+/// queue and the backlog unchanged, both shed counts up by exactly one.
+/// Returns the error for the caller's checks of its text and hint.
+template <typename Functor>
+admission_error refuse(server& srv, session_id sid, Functor f,
+                       request_options ro = {}) {
+    const session_stats before = srv.stats(sid);
+    const server::statistics total = srv.stats();
+    const std::size_t backlog = srv.backlog();
+    try {
+        (void)srv.submit(sid, f, ro);
+    } catch (const admission_error& e) {
+        const session_stats after = srv.stats(sid);
+        EXPECT_EQ(after.admitted, before.admitted);
+        EXPECT_EQ(after.queued, before.queued);
+        EXPECT_EQ(after.shed, before.shed + 1);
+        EXPECT_EQ(srv.stats().admitted, total.admitted);
+        EXPECT_EQ(srv.stats().shed, total.shed + 1);
+        EXPECT_EQ(srv.backlog(), backlog);
+        return e;
+    }
+    ADD_FAILURE() << "session " << sid << " admitted a request it must refuse";
+    return admission_error("admitted", -1);
+}
+
+/// The unit of the occupancy hints: one dispatch in the cost model.
+std::int64_t dispatch_ns() {
+    return ham::offload::runtime::current()->costs().ham_msg_dispatch_ns;
+}
 
 TEST(AdmitServer, SessionLifecycleAndCompletionCounts) {
     run_sched(2, [] {
@@ -58,8 +92,11 @@ TEST(AdmitServer, ClosedSessionShedsSubmits) {
         const session_id sid = srv.open();
         srv.close(sid);
         std::uint64_t counter = 0;
-        EXPECT_THROW(srv.submit(sid, ham::f2f<&tk::bump>(&counter)),
-                     admission_error);
+        const admission_error e =
+            refuse(srv, sid, ham::f2f<&tk::bump>(&counter));
+        EXPECT_EQ(std::string(e.what()),
+                  "session " + std::to_string(sid) + " is closed");
+        EXPECT_EQ(e.retry_after_ns(), 0);
         EXPECT_EQ(srv.stats(sid).shed, 1u);
         EXPECT_EQ(counter, 0u);
     });
@@ -74,13 +111,12 @@ TEST(AdmitServer, QuotaExhaustionSheds) {
         std::uint64_t counter = 0;
         (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter));
         (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter));
-        try {
-            (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter));
-            FAIL() << "third submit must exceed the quota of 2";
-        } catch (const admission_error& e) {
-            EXPECT_NE(std::string(e.what()).find("quota"), std::string::npos);
-            EXPECT_EQ(e.retry_after_ns(), 0); // a quota never refills
-        }
+        // The third submit exceeds the quota of 2.
+        const admission_error e =
+            refuse(srv, sid, ham::f2f<&tk::bump>(&counter));
+        EXPECT_EQ(std::string(e.what()), "session " + std::to_string(sid) +
+                                             " quota exhausted (2 requests)");
+        EXPECT_EQ(e.retry_after_ns(), 0); // a quota never refills
         srv.drain();
         EXPECT_EQ(counter, 2u);
         EXPECT_EQ(srv.stats(sid).shed, 1u);
@@ -101,14 +137,14 @@ TEST(AdmitServer, PerSessionQueueBoundSheds) {
         (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter));
         (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter));
         EXPECT_EQ(srv.stats(sid).queued, 2u);
-        try {
-            (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter));
-            FAIL() << "third submit must overflow max_queued=2";
-        } catch (const admission_error& e) {
-            EXPECT_NE(std::string(e.what()).find("queue full"),
-                      std::string::npos);
-            EXPECT_GT(e.retry_after_ns(), 0); // backlog drains: hinted retry
-        }
+        // The third submit overflows max_queued=2.
+        const admission_error e =
+            refuse(srv, sid, ham::f2f<&tk::bump>(&counter));
+        EXPECT_EQ(std::string(e.what()),
+                  "session " + std::to_string(sid) + " queue full (2 queued)");
+        // The backlog drains: a hinted retry, one dispatch per backlog entry
+        // on the one target (the prefill and two queued) plus one.
+        EXPECT_EQ(e.retry_after_ns(), 4 * dispatch_ns());
         srv.drain();
         EXPECT_EQ(prefill_done, 1u);
         EXPECT_EQ(counter, 2u);
@@ -136,18 +172,23 @@ TEST(AdmitServer, OccupancyShedsByClassPriority) {
         for (int i = 0; i < 3; ++i) {
             (void)srv.submit(l, work()); // backlog 2, 3, 4
         }
-        try {
-            (void)srv.submit(g, work()); // background at 50%: shed
-            FAIL() << "background must shed at half occupancy";
-        } catch (const admission_error& e) {
-            EXPECT_GT(e.retry_after_ns(), 0);
-        }
+        // Background at 50% sheds; the hint is one dispatch per backlog
+        // entry on the one target, plus one.
+        admission_error e = refuse(srv, g, work());
+        EXPECT_EQ(std::string(e.what()),
+                  "backlog 4/8 above the background shed threshold");
+        EXPECT_EQ(e.retry_after_ns(), 5 * dispatch_ns());
         (void)srv.submit(b, work()); // backlog 5
         (void)srv.submit(b, work()); // backlog 6
-        EXPECT_THROW((void)srv.submit(b, work()), admission_error); // 75%
+        e = refuse(srv, b, work()); // batch at 75%
+        EXPECT_EQ(std::string(e.what()),
+                  "backlog 6/8 above the batch shed threshold");
+        EXPECT_EQ(e.retry_after_ns(), 7 * dispatch_ns());
         (void)srv.submit(l, work()); // backlog 7
         (void)srv.submit(l, work()); // backlog 8: full
-        EXPECT_THROW((void)srv.submit(l, work()), admission_error);
+        e = refuse(srv, l, work()); // latency only at 100%
+        EXPECT_EQ(std::string(e.what()), "backlog full (8/8)");
+        EXPECT_EQ(e.retry_after_ns(), 9 * dispatch_ns());
 
         srv.drain();
         EXPECT_EQ(counter, 7u); // 5 latency + 2 batch bumps ran
@@ -370,17 +411,18 @@ TEST(AdmitServer, BreakerTripsShedsProbesAndRecloses) {
             request r = srv.submit(sid, ham::f2f<&tk::boom>(), pin1);
             r.wait();
         }
+        // The third failure tripped the breaker in the poll that settled it.
+        const sim::time_ns tripped = sim::now();
         EXPECT_EQ(srv.breaker_of(1), breaker_state::open);
 
-        // Open breaker: node-1 work sheds with the cooldown as the hint...
+        // Open breaker: node-1 work sheds with the rest of the cooldown as
+        // the hint...
         std::uint64_t counter = 0;
-        try {
-            (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter), pin1);
-            FAIL() << "open breaker must shed node-1 work";
-        } catch (const admission_error& e) {
-            EXPECT_GT(e.retry_after_ns(), 0);
-            EXPECT_NE(std::string(e.what()).find("breaker"), std::string::npos);
-        }
+        admission_error e =
+            refuse(srv, sid, ham::f2f<&tk::bump>(&counter), pin1);
+        EXPECT_EQ(std::string(e.what()), "circuit breaker open for node 1");
+        EXPECT_GT(e.retry_after_ns(), 0);
+        EXPECT_EQ(e.retry_after_ns(), tripped + 10'000 - sim::now());
         // ...while node 2 serves unaffected.
         request_options pin2;
         pin2.affinity = 2;
@@ -393,14 +435,12 @@ TEST(AdmitServer, BreakerTripsShedsProbesAndRecloses) {
         sim::advance(10'000);
         EXPECT_EQ(srv.breaker_of(1), breaker_state::half_open);
         request probe = srv.submit(sid, ham::f2f<&tk::bump>(&counter), pin1);
-        try {
-            (void)srv.submit(sid, ham::f2f<&tk::bump>(&counter), pin1);
-            FAIL() << "half-open breaker must shed while the probe is out";
-        } catch (const admission_error& e) {
-            // Every resubmission sheds until the probe settles: the hint
-            // must not be 0 ("may retry now") or clients spin.
-            EXPECT_GT(e.retry_after_ns(), 0);
-        }
+        // Half-open with the probe out: every resubmission sheds until the
+        // probe settles, so the hint must not be 0 ("may retry now") or
+        // clients spin. It is one dispatch.
+        e = refuse(srv, sid, ham::f2f<&tk::bump>(&counter), pin1);
+        EXPECT_EQ(std::string(e.what()), "circuit breaker open for node 1");
+        EXPECT_EQ(e.retry_after_ns(), dispatch_ns());
         probe.get();
         EXPECT_EQ(srv.breaker_of(1), breaker_state::closed);
         EXPECT_EQ(counter, 2u);
@@ -444,6 +484,58 @@ TEST(AdmitServer, ClosingSessionWithQueuedProbeUnwedgesBreaker) {
         EXPECT_EQ(srv.breaker_of(1), breaker_state::closed);
         EXPECT_EQ(counter, 1u);
     });
+}
+
+TEST(AdmitServer, UnknownSessionIdsAreRejected) {
+    run_sched(1, [] {
+        server srv(small_cfg(16, 8));
+        const session_id a = srv.open();
+        const session_id b = srv.open();
+        srv.close(b);
+        std::uint64_t counter = 0;
+        for (const session_id sid : {invalid_session, b + 1,
+                                     std::numeric_limits<session_id>::max()}) {
+            EXPECT_THROW((void)srv.submit(sid, ham::f2f<&tk::bump>(&counter)),
+                         aurora::check_error)
+                << "session " << sid;
+            EXPECT_THROW(srv.close(sid), aurora::check_error)
+                << "session " << sid;
+            EXPECT_THROW((void)srv.stats(sid), aurora::check_error)
+                << "session " << sid;
+        }
+        // The known sessions still answer, and nothing was counted.
+        EXPECT_TRUE(srv.stats(a).open);
+        EXPECT_FALSE(srv.stats(b).open);
+        EXPECT_EQ(srv.stats().admitted, 0u);
+        EXPECT_EQ(srv.stats().shed, 0u);
+        EXPECT_EQ(srv.open_sessions(), 1u);
+        EXPECT_EQ(counter, 0u);
+    });
+}
+
+TEST(AdmitServer, BreakerTripsCounterSumsEveryServer) {
+    // Two servers in one process each trip node 1's breaker once: the
+    // process-wide counter rises by two, whatever earlier servers exported.
+    const auto trips = [] {
+        return aurora::testing::counter_total(
+            "aurora_admit_breaker_trips_total");
+    };
+    const std::uint64_t before = trips();
+    run_sched(2, [] {
+        server::config cfg = small_cfg(16, 8);
+        cfg.breaker.failure_threshold = 1;
+        request_options pin1;
+        pin1.affinity = 1;
+        pin1.pinned = true;
+        for (int n = 0; n < 2; ++n) {
+            server srv(cfg);
+            const session_id sid = srv.open();
+            srv.submit(sid, ham::f2f<&tk::boom>(), pin1).wait();
+            EXPECT_EQ(srv.breaker_of(1), breaker_state::open);
+            (void)srv.poll(); // exports the breaker gauges and counters
+        }
+    });
+    EXPECT_EQ(trips() - before, 2u);
 }
 
 /// One mixed workload; returns its observable trace for replay comparison.

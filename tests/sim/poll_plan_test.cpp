@@ -224,8 +224,14 @@ outcome run(const world& w, bool parked) {
     return out;
 }
 
-TEST(PlanDifferential, SeededWorldsMatchTheWrittenOutPasses) {
-    for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+/// Seeds 1–600 in six blocks of 100, one test each, so that a parallel
+/// ctest runs the blocks side by side: under a sanitizer they are most of
+/// the engine suite's time.
+class PlanDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PlanDifferential, SeededWorldsMatchTheWrittenOutPasses) {
+    const std::uint64_t first = GetParam();
+    for (std::uint64_t seed = first; seed < first + 100; ++seed) {
         const world w = make_world(seed);
         const outcome a = run(w, false);
         const outcome b = run(w, true);
@@ -239,5 +245,13 @@ TEST(PlanDifferential, SeededWorldsMatchTheWrittenOutPasses) {
         ASSERT_EQ(a.error, b.error) << "seed " << seed;
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedBlocks, PlanDifferential,
+    ::testing::Values<std::uint64_t>(1, 101, 201, 301, 401, 501),
+    [](const ::testing::TestParamInfo<std::uint64_t>& block) {
+        return "seeds_" + std::to_string(block.param) + "_to_" +
+               std::to_string(block.param + 99);
+    });
 
 } // namespace
