@@ -5,6 +5,7 @@
 #include "obs/obs.hpp"
 #include "offload/runtime.hpp"
 #include "sim/engine.hpp"
+#include "sim/pass.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 
@@ -53,9 +54,11 @@ void request::wait() {
     // queued deadlines fire and in-flight work lands; an admitted request
     // always settles (see drain()). After a poll that found nothing the
     // next ones run parked.
-    bool idle = false;
-    while (!settled()) {
-        idle = !srv_->poll_after(idle);
+    sim::pass_loop loop("admit::request::wait");
+    for (; !settled(); loop.begin()) {
+        if (!srv_->poll()) {
+            loop.park();
+        }
     }
 }
 
@@ -170,6 +173,7 @@ void server::close(session_id sid) {
     // Queued work settles as shed — typed and counted; a waiting handle gets
     // admission_error from get(). In-flight work runs to completion.
     for (const request_ptr& r : s.queue) {
+        expiry_stale_ = expiry_stale_ || r->deadline_ns == next_expiry_;
         r->ph = phase::shed;
         r->error =
             "session " + std::to_string(sid) + " closed before dispatch";
@@ -346,10 +350,21 @@ void server::expire_request(session_rec& s, const request_ptr& r) {
 }
 
 bool server::expire_queued() {
-    const sim::time_ns now = sim::now();
-    if (now < next_expiry_) {
+    if (expiry_stale_) {
+        next_expiry_ = sim::never;
+        for (const auto& [sid, s] : queued_sessions_) {
+            for (const request_ptr& r : s->queue) {
+                if (r->deadline_ns > 0) {
+                    next_expiry_ = std::min(next_expiry_, r->deadline_ns);
+                }
+            }
+        }
+        expiry_stale_ = false;
+    }
+    if (!sim::pass::at(next_expiry_)) {
         return false;
     }
+    const sim::time_ns now = sim::now();
     bool progress = false;
     next_expiry_ = sim::never;
     for (auto qit = queued_sessions_.begin(); qit != queued_sessions_.end();) {
@@ -415,6 +430,7 @@ bool server::dispatch_queued() {
                 while (s.quantum > 0 && !s.queue.empty() && exec_room() > 0) {
                     const request_ptr r = s.queue.front();
                     s.queue.pop_front();
+                    expiry_stale_ = expiry_stale_ || r->deadline_ns == next_expiry_;
                     --queued_total_;
                     s.met->queue_depth->add(-1);
                     if (r->deadline_ns > 0 && sim::now() >= r->deadline_ns) {
@@ -566,44 +582,20 @@ bool server::poll() {
     return progress;
 }
 
-bool server::poll_after(bool idle) {
-    if (idle) {
-        // The pass after one that found nothing: only the executor's checks
-        // and the queued deadlines can act, so park the executor's pass with
-        // the deadline sweep as its own check; the dispatch finds no room.
-        sim::time_ns expiry = sim::never;
-        for (const auto& [sid, s] : queued_sessions_) {
-            for (const request_ptr& r : s->queue) {
-                if (r->deadline_ns > 0) {
-                    expiry = std::min(expiry, r->deadline_ns);
-                }
-            }
-        }
-        bool progress = false;
-        if (exec_.park_idle(expiry, progress)) {
-            progress = reconcile() || progress;
-            refresh_gauges();
-            return progress;
-        }
-    }
-    return poll();
-}
-
 void server::drain() {
     AURORA_TRACE_SPAN("admit", "drain");
-    bool idle = false;
-    while (queued_total_ > 0 || !inflight_.empty()) {
-        idle = !poll_after(idle);
+    sim::pass_loop loop("admit::server::drain");
+    for (; queued_total_ > 0 || !inflight_.empty(); loop.begin()) {
+        if (!poll()) {
+            loop.park();
+        }
     }
     // Settle anything the executor still tracks (e.g. work submitted through
     // scheduler() directly) so the underlying runtime can quiesce too.
-    idle = false;
-    while (exec_.unfinished() > 0) {
-        bool progress = false;
-        if (!idle || !exec_.park_idle(sim::never, progress)) {
-            progress = exec_.poll();
+    for (; exec_.unfinished() > 0; loop.begin()) {
+        if (!exec_.poll()) {
+            loop.park();
         }
-        idle = !progress;
     }
 }
 

@@ -157,10 +157,9 @@ public:
     // --- pumping ------------------------------------------------------------
     /// One cooperative tick: expire overdue queued work, WFQ-dispatch into
     /// the executor, poll it, reconcile settlements. True on any progress.
+    /// Its steps and checks go through sim::pass: a waiting loop parks on
+    /// it after a tick that found nothing.
     bool poll();
-    /// poll(), or — `idle`: the last one made no progress — the same tick
-    /// parked through the ticks that would find nothing (sim::poll).
-    bool poll_after(bool idle);
     /// Pump until every admitted request settled (virtual time passes).
     void drain();
 
@@ -254,10 +253,13 @@ private:
     std::uint64_t next_serial_ = 1;
     std::size_t open_sessions_ = 0;
     std::size_t queued_total_ = 0; ///< across all session queues
-    /// No queued deadline is earlier than this (sim::never: none queued).
-    /// Enqueue lowers it and each sweep recomputes it from what stays, so a
-    /// request that leaves otherwise costs at most one empty sweep.
+    /// The earliest queued deadline (sim::never: none queued), the sweep's
+    /// check. Enqueue lowers it and each sweep recomputes it from what
+    /// stays; a request holding it that leaves otherwise marks it stale,
+    /// and the next sweep check recomputes it first, so a parked wait never
+    /// wakes for an empty sweep.
     sim::time_ns next_expiry_ = sim::never;
+    bool expiry_stale_ = false;
     /// The last refusal's what() text and retry-after hint.
     std::string refusal_;
     std::int64_t refusal_retry_ns_ = 0;

@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 #include "offload/app_image.hpp"
 #include "offload/target.hpp"
+#include "sim/pass.hpp"
 #include "util/check.hpp"
 
 namespace aurora::net {
@@ -29,36 +30,6 @@ std::vector<std::byte> synthetic_failed(const std::string& why) {
     return bytes;
 }
 
-// The link words a parked loop watches (poll_plan checks).
-sim::time_ns link_front(const void* link, std::uint64_t dir) {
-    return static_cast<const inter_node_channel*>(link)->front_arrival(
-        static_cast<int>(dir));
-}
-
-sim::time_ns link_room(const void* link, std::uint64_t dir) {
-    return static_cast<const inter_node_channel*>(link)->has_room(
-               static_cast<int>(dir))
-               ? 0
-               : sim::never;
-}
-
-void link_refused(void* link, std::uint64_t, std::uint64_t n) {
-    static_cast<inter_node_channel*>(link)->count_refused(n);
-}
-
-// Where a gateway pass resumes: the step's kind in the low three bits, the
-// VE (post) or flight index (check, probe) above.
-constexpr std::uint32_t no_step = ~std::uint32_t{0};
-enum gateway_step : std::uint32_t {
-    gw_post = 1,  ///< a parked frame's post: recovery pause or cursor probe
-    gw_check = 2, ///< a flight's future check
-    gw_probe = 3, ///< ...and its probe (gw_check + 1)
-    gw_pause = 4, ///< the idle pass's poll, its last step
-};
-std::uint32_t gw_tag(std::size_t at, gateway_step k) {
-    return static_cast<std::uint32_t>(at) << 3 | k;
-}
-
 } // namespace
 
 /// One remote VH: the link, the gateway process's shared state, and the
@@ -78,7 +49,6 @@ struct cluster::gateway {
     bool done = false;
     bool terminate = false; ///< the terminate frame arrived
     sim::process* proc = nullptr;
-    ham::offload::poll_plan plan; ///< the loop's parked pass
 
     /// A routed message posted into the gateway runtime, awaiting its result.
     struct flight {
@@ -142,19 +112,13 @@ cluster::cluster(sim::platform& plat, cluster_options opt)
     }
     // Let every gateway finish booting its runtime (VE attach) so health and
     // memory operations are well-defined the moment the constructor returns.
-    const sim::duration_ns poll = origin_->costs().local_poll_ns;
+    const auto started = [](const void* g, std::uint64_t) {
+        return static_cast<const gateway*>(g)->started ? 0 : sim::never;
+    };
     for (auto& up : gateways_) {
-        while (!up->started) {
-            origin_plan_.clear();
-            origin_plan_.step(poll, 0);
-            origin_plan_.wake_live(
-                [](const void* g, std::uint64_t) {
-                    return static_cast<const gateway*>(g)->started ? 0 : sim::never;
-                },
-                up.get());
-            if (std::uint32_t tag = 0; !origin_plan_.park(tag)) {
-                sim::advance(poll);
-            }
+        sim::pass_loop loop("net::cluster::boot");
+        for (; !sim::pass::live(started, up.get()); loop.begin()) {
+            loop.park(origin_->costs().local_poll_ns);
         }
     }
     // node 0's health gauge completes the per-node family for the tools.
@@ -171,10 +135,7 @@ cluster::~cluster() {
         h.kind = proto::msg_kind::terminate;
         h.ticket = 0;
         std::vector<std::byte> frame = proto::make_routed_frame(h, nullptr, 0);
-        while (!g.link.try_send(0, std::move(frame))) {
-            drain_results(g);
-            pause_on_link(g, /*refused=*/true, sim::never);
-        }
+        send_blocking(g, frame);
     }
     for (auto& up : gateways_) {
         sim::join(*up->proc);
@@ -204,37 +165,23 @@ void cluster::run_gateway(gateway& g) {
         ham::offload::runtime::scope rt_scope(rt);
         g.rt = &rt;
         g.started = true;
-        gateway_loop(g, rt);
+        sim::pass_loop loop("net::cluster::gateway");
+        for (;; loop.begin()) {
+            const pass_end r = gateway_pass(g, rt);
+            if (r == pass_end::finished) {
+                break;
+            }
+            if (r == pass_end::idle) {
+                loop.park(rt.costs().local_poll_ns); // the pass's pause
+            }
+        }
         g.rt = nullptr;
         // runtime destructor: orderly terminate handshake with this node's VEs.
     }
     g.done = true;
 }
 
-void cluster::gateway_loop(gateway& g, ham::offload::runtime& rt) {
-    std::uint32_t woke = no_step;
-    for (;;) {
-        const pass_end r = gateway_pass(g, rt, woke);
-        if (r == pass_end::finished) {
-            return;
-        }
-        woke = no_step;
-        if (r == pass_end::idle) {
-            plan_gateway(g, rt);
-            if (!g.plan.park(woke)) {
-                woke = no_step;
-            }
-        }
-    }
-}
-
-cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt,
-                                        std::uint32_t woke) {
-    const std::uint32_t after = woke & 7; // the step kind woken after
-    const std::size_t at = woke >> 3;
-    if (woke != no_step && after == gw_pause) {
-        return pass_end::idle; // woke after the pass's last step
-    }
+cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt) {
     bool progress = false;
     auto settle = [&](std::uint64_t origin_ticket, int ve,
                       const aurora::obs::trace_context& ctx) {
@@ -247,15 +194,11 @@ cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt,
                              rt.failure_reason(ve));
         g.outbox.push_back(result_frame(g, ve, origin_ticket, bytes, ctx));
     };
-    // `resumed`: the pass woke after this post's step (plan_send).
     auto post = [&](std::uint64_t origin_ticket, int ve,
                     const std::vector<std::byte>& payload, proto::msg_kind kind,
-                    const aurora::obs::trace_context& ctx, bool resumed) -> bool {
+                    const aurora::obs::trace_context& ctx) -> bool {
         ham::offload::runtime::sent_message sent;
-        if (!(resumed ? rt.resume_send(ve, payload.data(), payload.size(), sent,
-                                       kind)
-                      : rt.try_send_message(ve, payload.data(), payload.size(),
-                                            sent, kind))) {
+        if (!rt.try_send_message(ve, payload.data(), payload.size(), sent, kind)) {
             return false;
         }
         if (ctx.valid()) {
@@ -274,7 +217,7 @@ cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt,
     // 1. Inbound frames: route to a VE, execute a memory op, or begin the
     //    shutdown handshake.
     std::vector<std::byte> frame;
-    while (woke == no_step && g.link.try_recv(0, frame)) {
+    while (g.link.try_recv(0, frame)) {
         progress = true;
         AURORA_CHECK_MSG(proto::is_routed(frame.data(), frame.size()),
                          "gateway received an unrouted frame");
@@ -299,7 +242,7 @@ cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt,
                     g, h.target, h.ticket, serve_mem_request(rt, payload), ctx));
                 break;
             default:
-                if (!post(h.ticket, h.target, payload, h.kind, ctx, false)) {
+                if (!post(h.ticket, h.target, payload, h.kind, ctx)) {
                     g.parked[h.target].push_back(
                         {h.ticket, std::move(payload), h.kind, ctx});
                 }
@@ -309,44 +252,31 @@ cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt,
 
     // 2. Parked frames: retry per VE; a terminally failed VE settles its
     //    whole queue so no other tenant ever waits behind it.
-    if (woke == no_step || after == gw_post) {
-        auto it = woke == no_step ? g.parked.begin()
-                                  : g.parked.find(static_cast<int>(at));
-        for (; it != g.parked.end(); ++it) {
-            auto& [ve, q] = *it;
-            bool resumed = woke != no_step && ve == static_cast<int>(at);
-            if (q.empty()) {
-                continue;
+    for (auto& [ve, q] : g.parked) {
+        if (q.empty()) {
+            continue;
+        }
+        if (rt.health(ve) == target_health::failed) {
+            for (const auto& p : q) {
+                settle(p.ticket, ve, p.ctx);
             }
-            if (!resumed && rt.health(ve) == target_health::failed) {
-                for (const auto& p : q) {
-                    settle(p.ticket, ve, p.ctx);
-                }
-                q.clear();
-                progress = true;
-                continue;
-            }
-            while (!q.empty() && post(q.front().ticket, ve, q.front().payload,
-                                      q.front().kind, q.front().ctx, resumed)) {
-                q.pop_front();
-                progress = true;
-                resumed = false;
-            }
+            q.clear();
+            progress = true;
+            continue;
+        }
+        while (!q.empty() && post(q.front().ticket, ve, q.front().payload,
+                                  q.front().kind, q.front().ctx)) {
+            q.pop_front();
+            progress = true;
         }
     }
 
     // 3. Completed offloads: forward results (FIFO front-probe per the slot
     //    discipline; later flights cannot complete earlier).
-    bool flight_woke = woke != no_step && (after == gw_check || after == gw_probe);
-    for (std::size_t i = flight_woke ? at : 0; i < g.flights.size();) {
+    for (std::size_t i = 0; i < g.flights.size();) {
         gateway::flight& f = g.flights[i];
         std::vector<std::byte> bytes;
-        const bool got =
-            flight_woke ? rt.resume_collect(f.ve, f.local_ticket, f.local_slot,
-                                            after == gw_probe, bytes)
-                        : rt.try_collect(f.ve, f.local_ticket, f.local_slot, bytes);
-        flight_woke = false;
-        if (got) {
+        if (rt.try_collect(f.ve, f.local_ticket, f.local_slot, bytes)) {
             g.outbox.push_back(
                 result_frame(g, f.ve, f.origin_ticket, bytes, f.ctx));
             g.flights.erase(g.flights.begin() + static_cast<std::ptrdiff_t>(i));
@@ -374,36 +304,7 @@ cluster::pass_end cluster::gateway_pass(gateway& g, ham::offload::runtime& rt,
             return pass_end::finished;
         }
     }
-    if (progress) {
-        return pass_end::progress;
-    }
-    sim::advance(rt.costs().local_poll_ns);
-    return pass_end::idle;
-}
-
-void cluster::plan_gateway(gateway& g, ham::offload::runtime& rt) {
-    ham::offload::poll_plan& p = g.plan;
-    p.clear();
-    p.wake_live(&link_front, &g.link, 0); // 1. inbound frames
-    for (const auto& [ve, q] : g.parked) { // 2. parked frames
-        if (q.empty()) {
-            continue;
-        }
-        if (rt.health(ve) == target_health::failed) {
-            p.wake_at(0); // settles the queue
-            continue;
-        }
-        rt.plan_send(p, ve, gw_tag(static_cast<std::size_t>(ve), gw_post));
-    }
-    for (std::size_t i = 0; i < g.flights.size(); ++i) { // 3. flights
-        const gateway::flight& f = g.flights[i];
-        rt.plan_collect(p, f.ve, f.local_ticket, f.local_slot, gw_tag(i, gw_check));
-    }
-    if (!g.outbox.empty()) { // 4. the outbox's refused flush
-        p.wake_live(&link_room, &g.link, 1);
-        p.on_skip(&link_refused, &g.link);
-    }
-    p.step(rt.costs().local_poll_ns, gw_tag(0, gw_pause));
+    return progress ? pass_end::progress : pass_end::idle;
 }
 
 std::vector<std::byte>
@@ -539,29 +440,18 @@ std::uint64_t cluster::route_frame(gateway& g, int ve, proto::msg_kind kind,
     }
     std::vector<std::byte> frame = proto::make_routed_frame(
         h, static_cast<const std::byte*>(payload), len);
-    // Block (virtual time) under link backpressure, draining completions so
-    // the window can free up.
-    while (!g.link.try_send(0, std::move(frame))) {
-        drain_results(g);
-        pause_on_link(g, /*refused=*/true, sim::never);
-    }
+    send_blocking(g, frame);
     ++g.inflight;
     return ticket;
 }
 
-void cluster::pause_on_link(gateway& g, bool refused, sim::time_ns until) {
-    const sim::duration_ns poll = origin().costs().local_poll_ns;
-    ham::offload::poll_plan& p = origin_plan_;
-    p.clear();
-    p.step(poll, 0);
-    if (refused) {
-        p.wake_live(&link_room, &g.link, 0);
-        p.on_skip(&link_refused, &g.link);
-    }
-    p.wake_live(&link_front, &g.link, 1);
-    p.wake_at(until);
-    if (std::uint32_t tag = 0; !p.park(tag)) {
-        sim::advance(poll);
+void cluster::send_blocking(gateway& g, std::vector<std::byte>& frame) {
+    // Block (virtual time) under link backpressure, draining completions so
+    // the window can free up.
+    sim::pass_loop loop("net::cluster::send_blocking");
+    for (; !g.link.try_send(0, std::move(frame)); loop.begin()) {
+        drain_results(g);
+        loop.park(origin().costs().local_poll_ns);
     }
 }
 
@@ -760,7 +650,7 @@ bool cluster::engine_send(std::size_t e, const void* msg, std::size_t len,
         return origin_engines().engine_send(e, msg, len, kind, queued_ns, out);
     }
     gateway& g = gw(vh);
-    if (g.link.in_flight(0) >= g.link.profile().window) {
+    if (!g.link.can_send(0)) {
         return false; // route_frame would block on the link's window
     }
     const std::uint64_t ticket = route_frame(g, ve, kind, msg, len);
@@ -793,33 +683,6 @@ void cluster::engine_poll_recovery(std::size_t e) {
     // A remote gateway drives its own VEs' recovery.
     if (engine_at(e).first == 0) {
         origin_engines().engine_poll_recovery(e);
-    }
-}
-
-void cluster::plan_send(std::size_t e, ham::offload::poll_plan& plan,
-                        std::uint32_t tag) {
-    const int vh = engine_at(e).first;
-    if (vh == 0) {
-        origin_engines().plan_send(e, plan, tag);
-        return;
-    }
-    plan.wake_live(&link_room, &gw(vh).link, 0); // the window engine_send checks
-}
-
-bool cluster::resume_send(std::size_t e, const void* msg, std::size_t len,
-                          proto::msg_kind kind, std::uint64_t queued_ns,
-                          ham::offload::future<void>& out) {
-    if (engine_at(e).first == 0) {
-        return origin_engines().resume_send(e, msg, len, kind, queued_ns, out);
-    }
-    // A remote send takes no time: it has no step to wake after.
-    return engine_send(e, msg, len, kind, queued_ns, out);
-}
-
-void cluster::plan_poll_recovery(std::size_t e, ham::offload::poll_plan& plan,
-                                 std::uint32_t tag) {
-    if (engine_at(e).first == 0) {
-        origin_engines().plan_poll_recovery(e, plan, tag);
     }
 }
 
@@ -896,31 +759,14 @@ bool cluster::wait_collect_until(node_t node, std::uint64_t ticket,
                                  std::uint32_t slot,
                                  std::vector<std::byte>& out,
                                  sim::time_ns deadline_ns) {
-    while (!try_collect(node, ticket, slot, out)) {
-        if (sim::now() >= deadline_ns) {
+    sim::pass_loop loop("net::cluster::wait_collect_until");
+    for (; !try_collect(node, ticket, slot, out); loop.begin()) {
+        if (sim::pass::at(deadline_ns)) {
             return false;
         }
-        pause_on_link(gw(static_cast<int>(node)), /*refused=*/false, deadline_ns);
+        loop.park(origin().costs().local_poll_ns);
     }
     return true;
-}
-
-void cluster::plan_collect(ham::offload::poll_plan& plan, node_t node,
-                           std::uint64_t ticket, std::uint32_t /*slot*/,
-                           std::uint32_t /*tag*/) {
-    const gateway& g = gw(static_cast<int>(node));
-    if (g.arrived.count(ticket) != 0) {
-        plan.wake_at(0);
-    }
-    // Draining a result frame acts whichever ticket it carries (it stamps
-    // net_result and records the epoch), so wake at the link's front.
-    plan.wake_live(&link_front, &g.link, 1);
-}
-
-bool cluster::resume_collect(node_t node, std::uint64_t ticket,
-                             std::uint32_t slot, bool /*after_probe*/,
-                             std::vector<std::byte>& out) {
-    return try_collect(node, ticket, slot, out); // it has no step to wake after
 }
 
 } // namespace aurora::net

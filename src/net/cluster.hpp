@@ -17,10 +17,10 @@
 // implements detail::result_source, so remote completions settle ordinary
 // future<T>s.
 //
-// Every wait here parks (ham::offload::poll_plan): an idle gateway until a
+// Every wait here parks on its own pass (sim::pass): an idle gateway until a
 // frame arrives, a flight's result lands, a parked frame's VE can take it or
 // its outbox finds room; the origin until its link has room or a result
-// frame arrives.
+// frame arrives. The link's try_send/try_recv are the checks.
 //
 // Identity: VH `k`'s VE `i` has the cluster-unique global id k*V + i
 // (V = ves_per_node). The gateway runtime is constructed with
@@ -208,14 +208,6 @@ public:
     [[nodiscard]] std::string engine_failure(std::size_t e) override;
     [[nodiscard]] std::uint32_t engine_probation(std::size_t e) override;
     void engine_poll_recovery(std::size_t e) override;
-    void plan_send(std::size_t e, ham::offload::poll_plan& plan,
-                   std::uint32_t tag) override;
-    bool resume_send(std::size_t e, const void* msg, std::size_t len,
-                     ham::offload::protocol::msg_kind kind,
-                     std::uint64_t queued_ns,
-                     ham::offload::future<void>& out) override;
-    void plan_poll_recovery(std::size_t e, ham::offload::poll_plan& plan,
-                            std::uint32_t tag) override;
     [[nodiscard]] std::uint64_t engine_version() const override;
 
     // --- detail::result_source (routed completions) ---------------------------
@@ -224,14 +216,6 @@ public:
     bool wait_collect_until(ham::offload::node_t node, std::uint64_t ticket,
                             std::uint32_t slot, std::vector<std::byte>& out,
                             sim::time_ns deadline_ns) override;
-    /// try_collect() takes no time: it drains the link's result frames and
-    /// looks the ticket up, so a parked pass sees only its checks.
-    void plan_collect(ham::offload::poll_plan& plan, ham::offload::node_t node,
-                      std::uint64_t ticket, std::uint32_t slot,
-                      std::uint32_t tag) override;
-    bool resume_collect(ham::offload::node_t node, std::uint64_t ticket,
-                        std::uint32_t slot, bool after_probe,
-                        std::vector<std::byte>& out) override;
 
 private:
     /// Remote-memory control frame, carried as a routed payload addressed to
@@ -250,14 +234,9 @@ private:
     /// Gateway process body: boots a runtime for this node's VEs, then
     /// forwards routed frames until the terminate frame arrives.
     void run_gateway(gateway& g);
-    void gateway_loop(gateway& g, ham::offload::runtime& rt);
     enum class pass_end : std::uint8_t { progress, idle, finished };
-    /// One pass of the gateway loop; from the start (woke = ~0) or from
-    /// after the step `woke` of plan_gateway()'s pass.
-    pass_end gateway_pass(gateway& g, ham::offload::runtime& rt,
-                          std::uint32_t woke);
-    /// The gateway's next pass after an idle one, into its poll_plan.
-    void plan_gateway(gateway& g, ham::offload::runtime& rt);
+    /// One pass of the gateway loop.
+    pass_end gateway_pass(gateway& g, ham::offload::runtime& rt);
     /// Wrap result `bytes` for (vh, ve, origin ticket) in a routing header,
     /// echoing the request's trace context (all-zero when absent).
     std::vector<std::byte>
@@ -285,10 +264,9 @@ private:
     std::uint64_t route_frame(gateway& g, int ve,
                               ham::offload::protocol::msg_kind kind,
                               const void* payload, std::size_t len);
-    /// One poll pause of an origin loop on `g`'s link, parked until a check
-    /// after it could act: a result frame arriving, room for a refused send
-    /// (with `refused`; the skipped refusals are counted), or `until`.
-    void pause_on_link(gateway& g, bool refused, sim::time_ns until);
+    /// Send `frame` over `g`'s link, blocking (virtual time) while its
+    /// window is full and draining result frames meanwhile.
+    void send_blocking(gateway& g, std::vector<std::byte>& frame);
     /// Synchronous control round trip; returns the reply payload.
     std::vector<std::byte> mem_roundtrip(int vh, const mem_request& req,
                                          const void* data, std::size_t len);
@@ -298,7 +276,6 @@ private:
     cluster_options opt_;
     ham::offload::runtime* origin_ = nullptr;
     std::vector<std::unique_ptr<gateway>> gateways_; ///< [vh-1]
-    ham::offload::poll_plan origin_plan_; ///< the origin's parked pauses
 };
 
 } // namespace aurora::net

@@ -1,8 +1,28 @@
 #include "net/link.hpp"
 
+#include "sim/pass.hpp"
 #include "util/check.hpp"
 
 namespace aurora::net {
+
+namespace {
+// The link's words as a parked loop's checks (sim::pass).
+sim::time_ns room_due(const void* link, std::uint64_t dir) {
+    return static_cast<const inter_node_channel*>(link)->has_room(
+               static_cast<int>(dir))
+               ? 0
+               : sim::never;
+}
+
+sim::time_ns front_due(const void* link, std::uint64_t dir) {
+    return static_cast<const inter_node_channel*>(link)->front_arrival(
+        static_cast<int>(dir));
+}
+
+void count_refused_of(void* link, std::uint64_t, std::uint64_t n) {
+    static_cast<inter_node_channel*>(link)->count_refused(n);
+}
+} // namespace
 
 link_profile link_profile::by_name(const std::string& n) {
     if (n == "ib-hdr" || n == "ib") {
@@ -46,8 +66,8 @@ inter_node_channel::inter_node_channel(link_profile profile, int remote_node)
 bool inter_node_channel::try_send(int dir, std::vector<std::byte>&& frame) {
     AURORA_CHECK(dir == 0 || dir == 1);
     direction& w = wire_[dir];
-    if (!has_room(dir)) {
-        count_refused(1);
+    if (!can_send(dir)) {
+        sim::pass::tally(&count_refused_of, this);
         return false;
     }
     // The wire serialises frames: transmission starts when the previous
@@ -65,10 +85,14 @@ bool inter_node_channel::try_send(int dir, std::vector<std::byte>&& frame) {
     return true;
 }
 
+bool inter_node_channel::can_send(int dir) const {
+    return sim::pass::live(&room_due, this, static_cast<std::uint64_t>(dir));
+}
+
 bool inter_node_channel::try_recv(int dir, std::vector<std::byte>& out) {
     AURORA_CHECK(dir == 0 || dir == 1);
     direction& w = wire_[dir];
-    if (w.frames.empty() || w.frames.front().arrives_at > sim::now()) {
+    if (!sim::pass::live(&front_due, this, static_cast<std::uint64_t>(dir))) {
         return false;
     }
     out = std::move(w.frames.front().bytes);

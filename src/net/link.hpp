@@ -66,13 +66,17 @@ public:
     [[nodiscard]] int remote_node() const noexcept { return remote_node_; }
 
     /// Post one frame into direction `dir`, moving it onto the wire. False
-    /// (the frame untouched, no time advanced) when `window` frames are
-    /// already in flight in that direction — the caller drains its receive
-    /// side and retries.
+    /// (the frame untouched, no time advanced, the refusal counted) when
+    /// `window` frames are already in flight in that direction — the caller
+    /// drains its receive side and retries.
     bool try_send(int dir, std::vector<std::byte>&& frame);
+    /// Whether try_send(dir) would accept a frame now: has_room() as a check
+    /// of the pass it runs in (sim::pass).
+    [[nodiscard]] bool can_send(int dir) const;
 
     /// Deliver the oldest frame of direction `dir` whose modeled arrival
-    /// time has been reached. False when nothing is deliverable yet.
+    /// time has been reached. False when nothing is deliverable yet. A check
+    /// of the pass it runs in (sim::pass), on front_arrival().
     bool try_recv(int dir, std::vector<std::byte>& out);
 
     /// Frames posted but not yet received in direction `dir`.
@@ -89,7 +93,7 @@ public:
     [[nodiscard]] bool has_room(int dir) const noexcept {
         return wire_[dir].size() < profile_.window;
     }
-    /// Count `n` sends refused by a full window that a parked loop skipped.
+    /// Count `n` sends refused by a full window.
     void count_refused(std::uint64_t n) noexcept { backpressure_->add(n); }
     /// Deepest in-flight count across both directions (operator surface:
     /// aurora_top's per-node link-depth column reads the mirrored gauge).

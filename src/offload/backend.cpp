@@ -1,6 +1,7 @@
 #include "offload/backend.hpp"
 
 #include "sim/engine.hpp"
+#include "sim/pass.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 
@@ -60,8 +61,8 @@ void backend_metrics::count_polls(std::uint64_t n) noexcept {
 }
 
 backend_metrics::poll_timer::poll_timer(backend_metrics& m,
-                                        const probe_resume& resume) noexcept
-    : m_(m), t0_(resume.started >= 0 ? resume.started : vnow()) {}
+                                        sim::time_ns started) noexcept
+    : m_(m), t0_(started) {}
 
 void backend_metrics::poll_timer::arrived(std::size_t len) noexcept {
     arrived_ = true;
@@ -77,6 +78,27 @@ backend_metrics::poll_timer::~poll_timer() {
         const std::int64_t dt = sim::now() - t0_;
         m_.recv_ns_->record(dt > 0 ? static_cast<std::uint64_t>(dt) : 0);
     }
+}
+
+namespace {
+sim::time_ns result_due_of(const void* be, std::uint64_t slot) {
+    return static_cast<const backend*>(be)->result_due(
+        static_cast<std::uint32_t>(slot));
+}
+
+void count_probes_of(void* be, std::uint64_t slot, std::uint64_t n) {
+    static_cast<backend*>(be)->count_skipped_probes(
+        static_cast<std::uint32_t>(slot), n);
+}
+} // namespace
+
+bool backend::test_result(std::uint32_t slot, std::vector<std::byte>& out) {
+    if (const sim::duration_ns ns = probe_ns(slot); ns > 0) {
+        sim::pass::step(ns);
+    }
+    const bool due = sim::pass::live(&result_due_of, this, slot);
+    sim::pass::tally(&count_probes_of, this, slot);
+    return due && read_result(slot, out);
 }
 
 void backend::respawn(std::uint8_t) {

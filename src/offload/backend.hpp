@@ -26,16 +26,6 @@ enum class io_status : std::uint8_t {
     down,      ///< the transport is gone; the target must be declared failed
 };
 
-/// How a wait that parked between result probes (sim::poll) re-enters
-/// test_result().
-struct probe_resume {
-    /// Earlier probes the parked wait skipped; they found nothing, and
-    /// test_result() books them with its own (then zeroes this).
-    std::uint64_t skipped = 0;
-    /// >= 0: the probe's own time (probe_ns()) already passed; it began then.
-    sim::time_ns started = -1;
-};
-
 /// Transport-level telemetry shared by every backend implementation: send
 /// and poll latencies (virtual ns) plus byte counters, labeled
 /// {backend=<name>, node=<n>} in the global aurora::metrics registry.
@@ -66,12 +56,12 @@ public:
         std::int64_t t0_;
     };
 
-    /// Times one test_result probe (from resume.started when it began
-    /// before a parked wait woke); call arrived() when a result landed so
-    /// its payload counts as bytes in.
+    /// Times one test_result probe from `started`, the virtual time it
+    /// began; call arrived() when a result landed so its payload counts as
+    /// bytes in.
     class poll_timer {
     public:
-        poll_timer(backend_metrics& m, const probe_resume& resume) noexcept;
+        poll_timer(backend_metrics& m, sim::time_ns started) noexcept;
         ~poll_timer();
         poll_timer(const poll_timer&) = delete;
         poll_timer& operator=(const poll_timer&) = delete;
@@ -115,21 +105,19 @@ public:
                                                  bool retransmit = false) = 0;
 
     /// Non-blocking result probe for `slot`: spends probe_ns(slot), then
-    /// reads. On success fills `out` with the result payload (header +
-    /// bytes) and clears the slot. `resume` carries what a parked wait
-    /// skipped (see probe_resume).
-    virtual bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
-                             probe_resume& resume) = 0;
+    /// reads once result_due(slot) acts. On success fills `out` with the
+    /// result payload (header + bytes) and clears the slot. A step and a
+    /// check of the pass it runs in (sim::pass), so a wait parks on it.
+    bool test_result(std::uint32_t slot, std::vector<std::byte>& out);
 
-    // --- the result probe as a parked wait needs it (sim::poll) -------------
     /// Virtual time one test_result(slot) spends before it reads.
     [[nodiscard]] virtual sim::duration_ns probe_ns(std::uint32_t slot) const = 0;
     /// When test_result(slot) would act — find a result, or clear a stale
     /// one — as things stand: the earliest virtual time, or sim::never until
     /// the target stores something. Free of side effects.
     [[nodiscard]] virtual sim::time_ns result_due(std::uint32_t slot) const = 0;
-    /// Book `n` probes of `slot` that a parked wait skipped and that no
-    /// test_result() call books: they found nothing, so only counters move.
+    /// Book `n` probes of `slot`: the counters every probe moves, found
+    /// something or not (a parked wait books its skipped probes here).
     virtual void count_skipped_probes(std::uint32_t slot, std::uint64_t n) = 0;
 
     // --- bulk data path (Table II) -------------------------------------------
@@ -202,6 +190,11 @@ public:
     /// (aurora::mem): transfers between a registered host buffer and a VE
     /// arena region with no staging copies. Implies has_dma_data_path().
     [[nodiscard]] virtual bool supports_zero_copy() const { return false; }
+
+protected:
+    /// test_result() once its probe's time passed and result_due() acts:
+    /// read the slot's result.
+    virtual bool read_result(std::uint32_t slot, std::vector<std::byte>& out) = 0;
 };
 
 } // namespace ham::offload

@@ -227,16 +227,10 @@ sim::time_ns backend_queue::result_due(std::uint32_t slot) const {
     return r.bytes.empty() ? sim::never : r.deliver_at;
 }
 
-bool backend_queue::test_result(std::uint32_t slot, std::vector<std::byte>& out,
-                                probe_resume& resume) {
+bool backend_queue::read_result(std::uint32_t slot, std::vector<std::byte>& out) {
     AURORA_CHECK(slot < slots_);
-    met_.count_polls(1 + resume.skipped);
-    resume.skipped = 0;
-    backend_metrics::poll_timer timer(met_, resume);
+    backend_metrics::poll_timer timer(met_, sim::now() - probe_ns(slot));
     auto& r = shared_->results[slot];
-    if (kind_.wire.read_ns > 0 && resume.started < 0) {
-        sim::advance(kind_.wire.read_ns); // a non-blocking socket read
-    }
     if (r.bytes.empty() || sim::now() < r.deliver_at) {
         return false; // nothing readable yet
     }

@@ -44,8 +44,6 @@ public:
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
-    bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
-                     probe_resume& resume) override;
     /// A tcp probe is a socket read; a loopback probe costs nothing.
     [[nodiscard]] sim::duration_ns probe_ns(std::uint32_t) const override {
         return kind_.wire.read_ns;
@@ -73,6 +71,7 @@ public:
                                          std::uint8_t epoch) override;
 
 private:
+    bool read_result(std::uint32_t slot, std::vector<std::byte>& out) override;
     /// What the modelled wire costs, in virtual ns. Hops are always charged;
     /// a zero latency or read cost is skipped, so a kind without them gets
     /// no extra scheduling point.

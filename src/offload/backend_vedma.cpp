@@ -200,18 +200,12 @@ sim::time_ns backend_vedma::result_due(std::uint32_t slot) const {
                : sim::never;
 }
 
-bool backend_vedma::test_result(std::uint32_t slot, std::vector<std::byte>& out,
-                                probe_resume& resume) {
+bool backend_vedma::read_result(std::uint32_t slot, std::vector<std::byte>& out) {
     const auto& cm = sys_.plat().costs();
     AURORA_CHECK(slot < layout_.send.slots);
-    met_.count_polls(1 + resume.skipped);
-    resume.skipped = 0;
-    backend_metrics::poll_timer timer(met_, resume);
+    backend_metrics::poll_timer timer(met_, sim::now() - probe_ns(slot));
     // "The VH is now the passive receiver who finds its message already in
     // its local memory as soon as the flag is set by the VE" (Sec. IV-B).
-    if (resume.started < 0) {
-        sim::advance(probe_ns(slot));
-    }
     const protocol::flag_word flag = protocol::decode_flag(result_flag(slot));
     if (!flag.present() || flag.gen != protocol::next_gen(result_gen_[slot])) {
         return false;

@@ -35,8 +35,6 @@ public:
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
-    bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
-                     probe_resume& resume) override;
     [[nodiscard]] sim::duration_ns probe_ns(std::uint32_t slot) const override;
     [[nodiscard]] sim::time_ns result_due(std::uint32_t slot) const override;
     void count_skipped_probes(std::uint32_t slot, std::uint64_t n) override;
@@ -72,6 +70,7 @@ public:
     }
 
 private:
+    bool read_result(std::uint32_t slot, std::vector<std::byte>& out) override;
     /// Raw result flag word of `slot`, read without the clock.
     [[nodiscard]] std::uint64_t result_flag(std::uint32_t slot) const;
     [[nodiscard]] std::byte* region(std::uint64_t offset) const {

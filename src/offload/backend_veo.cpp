@@ -184,22 +184,14 @@ void backend_veo::count_skipped_probes(std::uint32_t slot, std::uint64_t n) {
     dma().finish_read(*proc_->proc, result_flag_addr(slot), &raw, sizeof(raw), n);
 }
 
-bool backend_veo::test_result(std::uint32_t slot, std::vector<std::byte>& out,
-                              probe_resume& resume) {
+bool backend_veo::read_result(std::uint32_t slot, std::vector<std::byte>& out) {
     AURORA_CHECK(slot < layout_.send.slots);
-    met_.count_polls(1 + resume.skipped);
-    const std::uint64_t reads = 1 + resume.skipped;
-    resume.skipped = 0;
-    backend_metrics::poll_timer timer(met_, resume);
-    // Poll the result flag (one expensive veo_read_mem, split in its time
-    // and its snapshot so that a parked wait can skip the time)…
-    std::uint64_t raw = 0;
-    if (resume.started < 0) {
-        sim::advance(probe_ns(slot));
-    }
-    dma().finish_read(*proc_->proc, result_flag_addr(slot), &raw, sizeof(raw),
-                      reads);
-    const protocol::flag_word flag = protocol::decode_flag(raw);
+    backend_metrics::poll_timer timer(met_, sim::now() - probe_ns(slot));
+    // Poll the result flag: one expensive veo_read_mem, whose time is the
+    // probe's step and whose count is the probe's tally
+    // (count_skipped_probes)…
+    const protocol::flag_word flag = protocol::decode_flag(
+        proc_->proc->mem().load_u64(result_flag_addr(slot)));
     if (!flag.present() || flag.gen != protocol::next_gen(result_gen_[slot])) {
         return false;
     }

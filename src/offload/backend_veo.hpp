@@ -34,8 +34,6 @@ public:
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
                                          std::size_t len, protocol::msg_kind kind,
                                          bool retransmit) override;
-    bool test_result(std::uint32_t slot, std::vector<std::byte>& out,
-                     probe_resume& resume) override;
     [[nodiscard]] sim::duration_ns probe_ns(std::uint32_t slot) const override;
     [[nodiscard]] sim::time_ns result_due(std::uint32_t slot) const override;
     void count_skipped_probes(std::uint32_t slot, std::uint64_t n) override;
@@ -55,6 +53,7 @@ public:
                                          std::uint8_t epoch) override;
 
 private:
+    bool read_result(std::uint32_t slot, std::vector<std::byte>& out) override;
     /// Fig. 4 deployment for the current epoch_ incarnation: VE process,
     /// library, communication area, setup C-API call, async ham_main.
     void attach();

@@ -15,7 +15,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "offload/poll_plan.hpp"
 #include "offload/protocol.hpp"
 #include "offload/types.hpp"
 #include "sim/engine.hpp"
@@ -38,16 +37,6 @@ public:
     virtual bool wait_collect_until(node_t node, std::uint64_t ticket,
                                     std::uint32_t slot, std::vector<std::byte>& out,
                                     sim::time_ns deadline_ns) = 0;
-    /// try_collect() as part of a parked pass (poll_plan): its advance()
-    /// steps, tagged `tag` (the future check) and `tag + 1` (the probe), and
-    /// the checks after each.
-    virtual void plan_collect(poll_plan& plan, node_t node, std::uint64_t ticket,
-                              std::uint32_t slot, std::uint32_t tag) = 0;
-    /// The rest of that try_collect() for a pass that woke after its future
-    /// check (`after_probe` false) or after its probe's time.
-    virtual bool resume_collect(node_t node, std::uint64_t ticket,
-                                std::uint32_t slot, bool after_probe,
-                                std::vector<std::byte>& out) = 0;
 };
 
 /// Deadline of a wait that only the result (or a target failure) ends.
@@ -194,27 +183,6 @@ public:
         }
         std::vector<std::byte> bytes;
         if (!s_->src->try_collect(s_->node, s_->ticket, s_->slot, bytes)) {
-            return false;
-        }
-        absorb(bytes);
-        return true;
-    }
-
-    /// test() as part of a parked pass (poll_plan; see
-    /// result_source::plan_collect): steps tagged `tag` and `tag + 1`.
-    void plan_test(poll_plan& plan, std::uint32_t tag) const {
-        if (s_->ready) {
-            plan.wake_at(0); // test() returns true at once
-            return;
-        }
-        s_->src->plan_collect(plan, s_->node, s_->ticket, s_->slot, tag);
-    }
-    /// test() for a parked pass that woke after its step `tag` (`after_probe`
-    /// false) or `tag + 1`.
-    bool resume_test(bool after_probe) {
-        std::vector<std::byte> bytes;
-        if (!s_->src->resume_collect(s_->node, s_->ticket, s_->slot, after_probe,
-                                     bytes)) {
             return false;
         }
         absorb(bytes);

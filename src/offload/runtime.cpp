@@ -13,6 +13,7 @@
 #include "offload/backend_vedma.hpp"
 #include "offload/backend_veo.hpp"
 #include "sim/engine.hpp"
+#include "sim/pass.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 #include "util/env.hpp"
@@ -541,7 +542,7 @@ void runtime::begin_recovery(target_state& t, node_t node,
 
 bool runtime::maybe_recover(target_state& t, node_t node) {
     if (t.health != target_health::recovering ||
-        sim::now() < t.next_attempt_at) {
+        !sim::pass::at(t.next_attempt_at)) {
         return false;
     }
     if (t.recover_attempts >= opt_.recovery.max_attempts) {
@@ -645,12 +646,9 @@ void runtime::drain() {
         if (t.be == nullptr) {
             continue;
         }
-        const auto none = static_cast<std::uint32_t>(t.slot_ticket.size());
-        // Where a parked pause woke: right after the time of this slot's
-        // probe (the earlier slots' probes found nothing), else none.
-        std::uint32_t from = none;
-        probe_resume resume;
-        for (;;) {
+        const auto slots = static_cast<std::uint32_t>(t.slot_ticket.size());
+        sim::pass_loop loop("offload::runtime::drain");
+        for (;; loop.begin()) {
             if (t.health == target_health::recovering) {
                 if (sim::now() < t.next_attempt_at) {
                     sim::sleep_until(t.next_attempt_at);
@@ -662,11 +660,9 @@ void runtime::drain() {
                 break;
             }
             bool outstanding = false;
-            for (std::uint32_t s = 0; s < none; ++s) {
-                // Before `from` the probes already ran (parked) and found
-                // nothing.
-                if (t.slot_ticket[s] != 0 && (from == none || s >= from)) {
-                    harvest_slot(t, s, node, s == from ? &resume : nullptr);
+            for (std::uint32_t s = 0; s < slots; ++s) {
+                if (t.slot_ticket[s] != 0) {
+                    harvest_slot(t, s, node);
                 }
                 outstanding |= t.slot_ticket[s] != 0;
             }
@@ -677,20 +673,17 @@ void runtime::drain() {
                 t.health != target_health::recovering) {
                 break;
             }
-            from = pause_parked(t, none, resume);
+            loop.park(costs_.local_poll_ns);
         }
     }
 }
 
-bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node,
-                           probe_resume* resume) {
+bool runtime::harvest_slot(target_state& t, std::uint32_t slot, node_t node) {
     if (t.slot_ticket[slot] == 0) {
         return false;
     }
     std::vector<std::byte> bytes;
-    probe_resume fresh;
-    if (t.be == nullptr ||
-        !t.be->test_result(slot, bytes, resume != nullptr ? *resume : fresh)) {
+    if (t.be == nullptr || !t.be->test_result(slot, bytes)) {
         return false;
     }
     return absorb_result(t, slot, node, bytes);
@@ -933,9 +926,8 @@ sim::time_ns runtime::deadline_due(const target_state& t) const {
 }
 
 void runtime::check_deadlines(target_state& t, node_t node) {
-    if (!resilient_ || opt_.reply_timeout_ns <= 0 ||
-        t.health == target_health::failed || t.pending.empty()) {
-        return;
+    if (!sim::pass::at(deadline_due(t))) {
+        return; // no reply window closed yet
     }
     auto& inj = aurora::fault::injector::instance();
     const sim::time_ns now = sim::now();
@@ -987,18 +979,20 @@ std::uint32_t runtime::acquire_slot(target_state& t, node_t node) {
     // buffer bookkeeping).
     AURORA_TRACE_SPAN("offload", "slot_wait");
     const std::uint32_t slot = t.rr;
-    probe_resume resume;
-    while (t.slot_ticket[slot] != 0) {
-        if (harvest_slot(t, slot, node, &resume)) {
-            break;
-        }
-        if (resilient_) {
-            check_deadlines(t, node);
-            if (t.slot_ticket[slot] == 0) {
-                break; // fail_target settled the slot
+    if (t.slot_ticket[slot] != 0) {
+        sim::pass_loop loop("offload::runtime::acquire_slot");
+        for (; t.slot_ticket[slot] != 0; loop.begin()) {
+            if (harvest_slot(t, slot, node)) {
+                break;
             }
+            if (resilient_) {
+                check_deadlines(t, node);
+                if (t.slot_ticket[slot] == 0) {
+                    break; // fail_target settled the slot
+                }
+            }
+            loop.park(costs_.local_poll_ns);
         }
-        pause_parked(t, slot, resume);
     }
     t.rr = (t.rr + 1) % static_cast<std::uint32_t>(t.slot_ticket.size());
     return slot;
@@ -1088,7 +1082,7 @@ bool runtime::try_send_message(node_t node, const void* msg, std::size_t len,
     if (t.health == target_health::recovering && !maybe_recover(t, node)) {
         // Guarantee virtual-time progress toward the backoff deadline so a
         // non-blocking polling loop (aurora::sched) cannot spin forever.
-        sim::advance(costs_.local_poll_ns);
+        sim::pass::step(costs_.local_poll_ns);
         return false;
     }
     if (resilient_) {
@@ -1099,16 +1093,16 @@ bool runtime::try_send_message(node_t node, const void* msg, std::size_t len,
             return false;
         }
     }
-    return send_on_cursor(t, node, msg, len, out, kind, nullptr);
+    return send_on_cursor(t, node, msg, len, out, kind);
 }
 
 bool runtime::send_on_cursor(target_state& t, node_t node, const void* msg,
                              std::size_t len, sent_message& out,
-                             protocol::msg_kind kind, probe_resume* resume) {
+                             protocol::msg_kind kind) {
     // The host must fill slots in strict round-robin order (Sec. III-D), so
     // only the cursor slot is a candidate; harvest it opportunistically.
     const std::uint32_t slot = t.rr;
-    if (t.slot_ticket[slot] != 0 && !harvest_slot(t, slot, node, resume)) {
+    if (t.slot_ticket[slot] != 0 && !harvest_slot(t, slot, node)) {
         return false;
     }
     if (t.health == target_health::failed ||
@@ -1126,7 +1120,7 @@ std::uint32_t runtime::slots_available(node_t node) {
         return 0;
     }
     if (t.health == target_health::recovering && !maybe_recover(t, node)) {
-        sim::advance(costs_.local_poll_ns); // progress toward the backoff
+        sim::pass::step(costs_.local_poll_ns); // progress toward the backoff
         return 0;
     }
     if (resilient_) {
@@ -1154,14 +1148,12 @@ std::uint32_t runtime::slots_available(node_t node) {
 
 bool runtime::try_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
                           std::vector<std::byte>& out) {
-    sim::advance(costs_.ham_future_check_ns);
-    probe_resume fresh;
-    return collect_checked(state_for(node), node, ticket, slot, out, fresh);
+    sim::pass::step(costs_.ham_future_check_ns);
+    return collect_checked(state_for(node), node, ticket, slot, out);
 }
 
 bool runtime::collect_checked(target_state& t, node_t node, std::uint64_t ticket,
-                              std::uint32_t slot, std::vector<std::byte>& out,
-                              probe_resume& resume) {
+                              std::uint32_t slot, std::vector<std::byte>& out) {
     if (t.health == target_health::recovering) {
         maybe_recover(t, node);
     }
@@ -1174,7 +1166,7 @@ bool runtime::collect_checked(target_state& t, node_t node, std::uint64_t ticket
     const std::uint32_t live = live_slot(t, ticket, slot);
     if (live < t.slot_ticket.size()) {
         // Still outstanding on its slot unless this probe brings it.
-        return harvest_slot(t, live, node, &resume) &&
+        return harvest_slot(t, live, node) &&
                take_arrived(t, node, ticket, slot, out);
     }
     // Not arrived and not on a slot: only legal while the ticket sits in the
@@ -1213,174 +1205,33 @@ std::uint32_t runtime::live_slot(const target_state& t, std::uint64_t ticket,
     return static_cast<std::uint32_t>(pos - t.slot_ticket.begin());
 }
 
-namespace {
-sim::time_ns result_due_of(const void* be, std::uint64_t slot) {
-    return static_cast<const backend*>(be)->result_due(
-        static_cast<std::uint32_t>(slot));
-}
-
-void count_probes_of(void* be, std::uint64_t slot, std::uint64_t n) {
-    static_cast<backend*>(be)->count_skipped_probes(
-        static_cast<std::uint32_t>(slot), n);
-}
-} // namespace
-
-void runtime::plan_probe(poll_plan& plan, target_state& t, std::uint32_t slot,
-                         std::uint32_t tag) {
-    backend& be = *t.be;
-    if (const sim::duration_ns ns = be.probe_ns(slot); ns > 0) {
-        plan.step(ns, tag);
-    }
-    plan.wake_live(&result_due_of, &be, slot);
-    plan.on_skip(&count_probes_of, &be, slot);
-}
-
-probe_resume runtime::probe_begun(const target_state& t, std::uint32_t slot) {
-    probe_resume r;
-    r.started = sim::now() - t.be->probe_ns(slot);
-    return r;
-}
-
-void runtime::plan_collect(poll_plan& plan, node_t node, std::uint64_t ticket,
-                           std::uint32_t slot, std::uint32_t tag) {
-    target_state& t = state_for(node);
-    plan.step(costs_.ham_future_check_ns, tag);
-    // collect_checked(): recovery, the reply deadlines, the arrived buffer.
-    if (t.health == target_health::recovering) {
-        plan.wake_at(t.next_attempt_at);
-    }
-    plan.wake_at(deadline_due(t));
-    if (t.arrived.count(ticket) != 0) {
-        plan.wake_at(0);
-        return;
-    }
-    // Then the ticket's slot; a ticket in the replay queue has none.
-    const std::uint32_t live = live_slot(t, ticket, slot);
-    if (live < t.slot_ticket.size() && t.be != nullptr) {
-        plan_probe(plan, t, live, tag + 1);
-    }
-}
-
-bool runtime::resume_collect(node_t node, std::uint64_t ticket,
-                             std::uint32_t slot, bool after_probe,
-                             std::vector<std::byte>& out) {
-    target_state& t = state_for(node);
-    if (!after_probe) {
-        probe_resume fresh;
-        return collect_checked(t, node, ticket, slot, out, fresh);
-    }
-    const std::uint32_t live = live_slot(t, ticket, slot);
-    probe_resume resume = probe_begun(t, live);
-    std::vector<std::byte> bytes;
-    return t.be->test_result(live, bytes, resume) &&
-           absorb_result(t, live, node, bytes) &&
-           take_arrived(t, node, ticket, slot, out);
-}
-
-void runtime::plan_send(poll_plan& plan, node_t node, std::uint32_t tag) {
-    target_state& t = state_for(node);
-    if (t.health == target_health::failed || t.be == nullptr) {
-        return;
-    }
-    if (t.health == target_health::recovering) {
-        plan.wake_at(t.next_attempt_at); // maybe_recover()
-        plan.step(costs_.local_poll_ns, tag);
-        return;
-    }
-    plan.wake_at(deadline_due(t));
-    if (t.slot_ticket[t.rr] == 0) {
-        plan.wake_at(0); // the send would go out
-        return;
-    }
-    plan_probe(plan, t, t.rr, tag);
-}
-
-bool runtime::resume_send(node_t node, const void* msg, std::size_t len,
-                          sent_message& out, protocol::msg_kind kind) {
-    target_state& t = state_for(node);
-    if (t.health == target_health::recovering) {
-        return false; // woke after the recovery pause, the send's last step
-    }
-    probe_resume resume = probe_begun(t, t.rr);
-    return send_on_cursor(t, node, msg, len, out, kind, &resume);
-}
-
-std::uint32_t runtime::pause_parked(target_state& t, std::uint32_t slot,
-                                    probe_resume& resume) {
-    const auto none = static_cast<std::uint32_t>(t.slot_ticket.size());
-    resume = {};
-    if (t.health == target_health::recovering ||
-        t.health == target_health::failed) {
-        poll_pause(); // the waits act on these right after the pause
-        return none;
-    }
-    poll_plan& plan = wait_plan_;
-    plan.clear();
-    plan.step(costs_.local_poll_ns, none);
-    if (t.be != nullptr) {
-        for (std::uint32_t s = 0; s < none; ++s) {
-            if ((slot == none || s == slot) && t.slot_ticket[s] != 0) {
-                plan_probe(plan, t, s, s);
-            }
-        }
-    }
-    plan.wake_at(deadline_due(t)); // check_deadlines()
-    std::uint32_t woke = none;
-    if (!plan.park(woke)) {
-        poll_pause();
-        return none;
-    }
-    if (woke != none) {
-        resume = probe_begun(t, woke);
-    }
-    return woke;
-}
-
-bool runtime::poll_for_result(node_t node, std::uint64_t ticket,
-                              std::uint32_t slot, std::vector<std::byte>& out,
-                              sim::time_ns deadline_ns) {
-    // One iteration from the pause on: poll_pause(), try_collect(), and the
-    // wait's own checks after it (its deadline; a failed target is settled).
-    constexpr std::uint32_t pause = 0;
-    constexpr std::uint32_t check = 1;
-    poll_plan& plan = wait_plan_;
-    plan.clear();
-    plan.step(costs_.local_poll_ns, pause);
-    plan_collect(plan, node, ticket, slot, check);
-    plan.wake_at(deadline_ns);
-    std::uint32_t woke = pause;
-    if (!plan.park(woke)) {
-        poll_pause();
-    }
-    if (woke == pause) {
-        return try_collect(node, ticket, slot, out);
-    }
-    return resume_collect(node, ticket, slot, woke != check, out);
-}
-
 bool runtime::wait_collect_until(node_t node, std::uint64_t ticket,
                                  std::uint32_t slot, std::vector<std::byte>& out,
                                  sim::time_ns deadline_ns) {
     AURORA_TRACE_SPAN("offload", "wait_result");
     target_state& t = state_for(node);
-    for (bool got = try_collect(node, ticket, slot, out); !got;) {
+    sim::pass_loop loop("offload::runtime::wait_collect_until");
+    for (;; loop.begin()) {
+        if (try_collect(node, ticket, slot, out)) {
+            return true;
+        }
         if (t.health == target_health::failed || t.be == nullptr) {
             // Safety net — fail_target settles outstanding tickets, so this
             // request must predate the runtime knowing the ticket.
             throw target_failed_error(failed_what(node, t.fail_reason));
         }
-        if (sim::now() >= deadline_ns) {
+        if (sim::pass::at(deadline_ns)) {
             return false;
         }
         if (t.health == target_health::recovering &&
             sim::now() < t.next_attempt_at) {
             sim::sleep_until(std::min(t.next_attempt_at, deadline_ns));
-            got = try_collect(node, ticket, slot, out);
             continue;
         }
-        got = poll_for_result(node, ticket, slot, out, deadline_ns);
+        // The loop's pause besides the probe (on veo the probe's
+        // veo_read_mem dominates).
+        loop.park(costs_.local_poll_ns);
     }
-    return true;
 }
 
 void runtime::ensure_arena(target_state& t, node_t node) {

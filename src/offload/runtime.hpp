@@ -17,7 +17,6 @@
 #include "offload/backend.hpp"
 #include "offload/future.hpp"
 #include "offload/options.hpp"
-#include "offload/poll_plan.hpp"
 #include "offload/types.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
@@ -166,29 +165,9 @@ public:
                             std::vector<std::byte>& out,
                             sim::time_ns deadline_ns) override;
 
-    // --- parked polls (poll_plan) -------------------------------------------
-    // The checks of one ticket and of one refused send, as a parked pass
-    // sees them: the host's result wait, the executor's idle pass and a
-    // cluster gateway's loop all describe them through these, so the wake
-    // rules live here once.
-    /// try_collect(): the future check (step `tag`), then recovery, the reply
-    /// deadlines, the arrived buffer and the ticket's slot; then the probe
-    /// (step `tag + 1` when it takes time) and its result flag.
-    void plan_collect(poll_plan& plan, node_t node, std::uint64_t ticket,
-                      std::uint32_t slot, std::uint32_t tag) override;
-    bool resume_collect(node_t node, std::uint64_t ticket, std::uint32_t slot,
-                        bool after_probe, std::vector<std::byte>& out) override;
-    /// A try_send_message() that would be refused (or slots_available() on
-    /// a recovering target): recovery and its pause, or the reply deadlines
-    /// and the cursor slot's probe — at most one step, tagged `tag`.
-    void plan_send(poll_plan& plan, node_t node, std::uint32_t tag);
-    /// try_send_message() for a pass that woke after plan_send()'s step.
-    bool resume_send(node_t node, const void* msg, std::size_t len,
-                     sent_message& out,
-                     protocol::msg_kind kind = protocol::msg_kind::user);
     /// Changes with every target's health or probation streak: a parked
     /// pass on another process compares it to see this runtime's targets
-    /// move (sim::poll's due must not miss such a change).
+    /// move (a sim::pass live check must not miss such a change).
     [[nodiscard]] std::uint64_t health_version() const noexcept {
         return health_version_;
     }
@@ -312,9 +291,7 @@ private:
     /// Lazily create `t`'s arena (first VE allocation with mem_arena on).
     void ensure_arena(target_state& t, node_t node);
     /// Probe one slot's backend result; buffer an arrival under its ticket.
-    /// `resume`: what a parked wait hands on to the probe (probe_resume).
-    bool harvest_slot(target_state& t, std::uint32_t slot, node_t node,
-                      probe_resume* resume = nullptr);
+    bool harvest_slot(target_state& t, std::uint32_t slot, node_t node);
     /// harvest_slot() after its probe found `bytes`: handle NACKs, settle
     /// health, buffer the arrival. True when the slot's ticket arrived.
     bool absorb_result(target_state& t, std::uint32_t slot, node_t node,
@@ -322,8 +299,7 @@ private:
     /// try_collect() after its future check: recovery, deadlines, then the
     /// arrived buffer and the ticket's slot.
     bool collect_checked(target_state& t, node_t node, std::uint64_t ticket,
-                         std::uint32_t slot, std::vector<std::byte>& out,
-                         probe_resume& resume);
+                         std::uint32_t slot, std::vector<std::byte>& out);
     /// Move `ticket`'s buffered result into `out`, if it arrived.
     bool take_arrived(target_state& t, node_t node, std::uint64_t ticket,
                       std::uint32_t slot, std::vector<std::byte>& out);
@@ -332,30 +308,10 @@ private:
     [[nodiscard]] static std::uint32_t live_slot(const target_state& t,
                                                  std::uint64_t ticket,
                                                  std::uint32_t hint);
-    /// Loop bookkeeping of one fruitless poll iteration besides the probe
-    /// itself (on veo the probe's veo_read_mem dominates).
-    void poll_pause() const { sim::advance(costs_.local_poll_ns); }
-    /// wait_collect_until() from its poll_pause() on, until one of its
-    /// checks acts: the iterations that find nothing run parked.
-    bool poll_for_result(node_t node, std::uint64_t ticket, std::uint32_t slot,
-                         std::vector<std::byte>& out, sim::time_ns deadline_ns);
-    /// harvest_slot(t, slot) as part of a parked pass: the probe's time
-    /// (step `tag`, if any), then its result flag.
-    static void plan_probe(poll_plan& plan, target_state& t, std::uint32_t slot,
-                           std::uint32_t tag);
-    /// A probe of `slot` resumed right after its time (plan_probe's step).
-    [[nodiscard]] static probe_resume probe_begun(const target_state& t,
-                                                  std::uint32_t slot);
-    /// poll_pause(), parked until the probes after it (of `slot`, or of
-    /// every slot in flight when `slot` is none) or the reply deadlines
-    /// act. The slot whose probe the wait woke after its time (else none),
-    /// and how to finish that probe.
-    std::uint32_t pause_parked(target_state& t, std::uint32_t slot,
-                               probe_resume& resume);
     /// try_send_message() from the cursor slot's harvest on.
     bool send_on_cursor(target_state& t, node_t node, const void* msg,
                         std::size_t len, sent_message& out,
-                        protocol::msg_kind kind, probe_resume* resume);
+                        protocol::msg_kind kind);
     /// The reply window of `p`'s current attempt (check_deadlines).
     [[nodiscard]] std::int64_t reply_window(const pending_send& p) const;
     /// When check_deadlines(t) would next act (sim::never: not as things
@@ -431,9 +387,6 @@ private:
     /// Fault handling engaged: retain pending copies, run deadline checks.
     bool resilient_ = false;
     std::uint64_t health_version_ = 0;
-    /// The parked pass of this runtime's own waits (one at a time: only the
-    /// owning process waits in them).
-    poll_plan wait_plan_;
 };
 
 } // namespace ham::offload

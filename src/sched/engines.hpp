@@ -51,21 +51,9 @@ public:
     /// Drive a recovering engine's heal state machine (may advance time).
     virtual void engine_poll_recovery(std::size_t e) = 0;
 
-    // --- the executor's idle pass, parked (ham::offload::poll_plan) ---------
-    /// An engine_send(e) that would be refused: at most one step, `tag`.
-    virtual void plan_send(std::size_t e, ham::offload::poll_plan& plan,
-                           std::uint32_t tag) = 0;
-    /// engine_send() for a pass that woke after plan_send()'s step.
-    virtual bool resume_send(std::size_t e, const void* msg, std::size_t len,
-                             ham::offload::protocol::msg_kind kind,
-                             std::uint64_t queued_ns,
-                             ham::offload::future<void>& out) = 0;
-    /// engine_poll_recovery(e) of a recovering engine: at most one step.
-    virtual void plan_poll_recovery(std::size_t e, ham::offload::poll_plan& plan,
-                                    std::uint32_t tag) = 0;
     /// Moves whenever any engine's health or probation progress changes;
-    /// free of side effects (a parked pass compares it from other
-    /// processes' segments).
+    /// free of side effects (a parked pass's live check compares it from
+    /// other processes' segments, sim::pass).
     [[nodiscard]] virtual std::uint64_t engine_version() const = 0;
 };
 
@@ -97,18 +85,6 @@ public:
     }
     void engine_poll_recovery(std::size_t e) override {
         static_cast<void>(rt_.slots_available(engine_id(e)));
-    }
-    void plan_send(std::size_t e, ham::offload::poll_plan& plan,
-                   std::uint32_t tag) override {
-        rt_.plan_send(plan, engine_id(e), tag);
-    }
-    bool resume_send(std::size_t e, const void* msg, std::size_t len,
-                     ham::offload::protocol::msg_kind kind,
-                     std::uint64_t queued_ns,
-                     ham::offload::future<void>& out) override;
-    void plan_poll_recovery(std::size_t e, ham::offload::poll_plan& plan,
-                            std::uint32_t tag) override {
-        rt_.plan_send(plan, engine_id(e), tag); // recovering: the same pause
     }
     [[nodiscard]] std::uint64_t engine_version() const override {
         return rt_.health_version();

@@ -9,6 +9,7 @@
 #include "obs/obs.hpp"
 #include "offload/protocol.hpp"
 #include "sim/engine.hpp"
+#include "sim/pass.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
 
@@ -36,19 +37,6 @@ bool runtime_engines::engine_send(std::size_t e, const void* msg,
                                   ham::offload::future<void>& out) {
     ham::offload::runtime::sent_message sent;
     if (!rt_.try_send_message(engine_id(e), msg, len, sent, kind)) {
-        return false;
-    }
-    bind(e, sent, queued_ns, out);
-    return true;
-}
-
-bool runtime_engines::resume_send(std::size_t e, const void* msg,
-                                  std::size_t len,
-                                  ham::offload::protocol::msg_kind kind,
-                                  std::uint64_t queued_ns,
-                                  ham::offload::future<void>& out) {
-    ham::offload::runtime::sent_message sent;
-    if (!rt_.resume_send(engine_id(e), msg, len, sent, kind)) {
         return false;
     }
     bind(e, sent, queued_ns, out);
@@ -92,7 +80,7 @@ executor::executor(engine_set* engines, executor_config cfg)
         cfg_.max_batch = 1;
     }
     targets_.resize(num_targets_);
-    planned_group_.resize(num_targets_);
+    remote_.resize(num_targets_);
     stats_.per_target.resize(num_targets_);
     for (std::size_t t = 0; t < num_targets_; ++t) {
         ids_.push_back(eng_.engine_id(t));
@@ -157,7 +145,7 @@ task_id executor::submit_serialized(std::vector<std::byte> msg,
     // cause a spurious shed.
     if (cfg_.backpressure == backpressure_mode::shed &&
         tasks_.size() - finished_count_ >= cfg_.max_queued) {
-        drain_once(no_step);
+        drain_once();
         const std::size_t backlog = tasks_.size() - finished_count_;
         if (backlog >= cfg_.max_queued) {
             ++stats_.tasks_shed;
@@ -248,13 +236,11 @@ task_id executor::submit_serialized(std::vector<std::byte> msg,
         AURORA_TRACE_COUNTER("sched", "backpressure_stalls", 1);
         ++stats_.backpressure_stalls;
         met_.backpressure_stalls->add(1);
-        bool idle = false;
-        while (tasks_.size() - finished_count_ > cfg_.max_queued) {
-            bool progress = false;
-            if (!idle || !park_idle(aurora::sim::never, progress)) {
-                progress = drain_once(no_step);
+        aurora::sim::pass_loop loop("sched::executor::submit");
+        for (; tasks_.size() - finished_count_ > cfg_.max_queued; loop.begin()) {
+            if (!drain_once()) {
+                loop.park();
             }
-            idle = !progress;
         }
     }
     return id;
@@ -269,14 +255,9 @@ void executor::run(const task_graph& g) {
 
 void executor::wait_all() {
     AURORA_TRACE_SPAN("sched", "wait_all");
-    bool idle = false;
-    while (finished_count_ < tasks_.size()) {
-        bool progress = false;
-        if (!idle || !park_idle(aurora::sim::never, progress)) {
-            progress = drain_once(no_step);
-        }
-        idle = !progress;
-        if (progress) {
+    aurora::sim::pass_loop loop("sched::executor::wait_all");
+    for (; finished_count_ < tasks_.size(); loop.begin()) {
+        if (drain_once()) {
             continue;
         }
         // No completions, no dispatches. Legal only while work is in flight
@@ -294,6 +275,7 @@ void executor::wait_all() {
                          "executor stalled with "
                              << (tasks_.size() - finished_count_)
                              << " unfinished tasks: dependency cycle?");
+        loop.park();
     }
     if (failed_) {
         failed_ = false; // report once; the executor stays usable for queries
@@ -357,7 +339,7 @@ const executor::statistics& executor::stats() {
 
 bool executor::past_deadline(task_id id) const {
     const task_options& o = tasks_[id].opts;
-    return o.deadline_ns > 0 && aurora::sim::now() >= o.deadline_ns;
+    return o.deadline_ns > 0 && aurora::sim::pass::at(o.deadline_ns);
 }
 
 void executor::expire_task(task_id id) {
@@ -457,31 +439,11 @@ void executor::finish_task(task_id id, task_state outcome, node_t executed_on,
     }
 }
 
-bool executor::drain_once(std::uint32_t woke) {
+bool executor::drain_once() {
     bool progress = false;
-    // A pass woken after one of its steps starts there: everything before
-    // it ran parked and found nothing.
-    std::size_t harvest_from = 0;
-    std::size_t dispatch_from = 0;
-    std::uint32_t harvest_woke = no_step;
-    std::uint32_t dispatch_woke = no_step;
-    if (woke != no_step) {
-        const auto kind = static_cast<step_kind>(woke & 7);
-        if (kind == step_pause) {
-            return false; // the pass's last step
-        }
-        if (kind <= step_probe) {
-            harvest_from = woke >> 3;
-            harvest_woke = woke;
-        } else {
-            harvest_from = num_targets_;
-            dispatch_from = woke >> 3;
-            dispatch_woke = woke;
-        }
-    }
 
     // 1. Host tasks run inline on the VH process (scatter/gather phases).
-    while (woke == no_step && !host_ready_.empty()) {
+    while (!host_ready_.empty()) {
         const task_id id = host_ready_.front();
         host_ready_.pop_front();
         if (past_deadline(id)) {
@@ -493,16 +455,13 @@ bool executor::drain_once(std::uint32_t woke) {
     }
 
     // 2. Harvest completed flights (lowest node first, FIFO per target).
-    for (std::size_t t = harvest_from; t < num_targets_; ++t) {
-        progress = harvest_target(t, t == harvest_from ? harvest_woke : no_step) ||
-                   progress;
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        progress = harvest_target(t) || progress;
     }
 
     // 3. Fill the in-flight windows.
-    for (std::size_t t = dispatch_from; t < num_targets_; ++t) {
-        progress =
-            dispatch_target(t, t == dispatch_from ? dispatch_woke : no_step) ||
-            progress;
+    for (std::size_t t = 0; t < num_targets_; ++t) {
+        progress = dispatch_target(t) || progress;
     }
 
     // Mirror the live queue state into the gauges once per tick.
@@ -514,7 +473,7 @@ bool executor::drain_once(std::uint32_t woke) {
     }
 
     if (!progress && waits_only_remote()) {
-        aurora::sim::advance(rt_.costs().local_poll_ns);
+        aurora::sim::pass::step(rt_.costs().local_poll_ns);
     }
     return progress;
 }
@@ -530,82 +489,31 @@ bool executor::waits_only_remote() {
     bool remote = false;
     for (std::size_t t = 0; t < num_targets_; ++t) {
         const bool busy = !targets_[t].inflight.empty() ||
-                          eng_.engine_health(t) ==
-                              ham::offload::target_health::recovering;
+                          view(t).health == ham::offload::target_health::recovering;
         (vh_[t] == 0 ? local : remote) |= busy;
     }
     return remote && !local;
 }
 
-aurora::sim::time_ns executor::engines_moved(const void* self, std::uint64_t) {
+aurora::sim::time_ns executor::engines_moved(const void* self,
+                                             std::uint64_t seen) {
     const auto& ex = *static_cast<const executor*>(self);
-    return ex.eng_.engine_version() != ex.engines_seen_ ? 0 : aurora::sim::never;
+    return ex.eng_.engine_version() != seen ? 0 : aurora::sim::never;
 }
 
-void executor::plan_pass(aurora::sim::time_ns also_at) {
-    plan_.clear();
-    plan_.wake_at(also_at);
-    engines_seen_ = eng_.engine_version();
-    // The pass after an idle one: no host task is queued, every front
-    // flight is still out, and each engine's dispatch stops where it did.
-    for (std::size_t t = 0; t < num_targets_; ++t) {
-        if (!targets_[t].inflight.empty()) {
-            targets_[t].inflight.front().fut.plan_test(plan_,
-                                                       tag_of(t, step_check));
+executor::engine_view executor::view(std::size_t t) {
+    if (vh_[t] == 0) {
+        return {eng_.engine_health(t), eng_.engine_probation(t)};
+    }
+    if (aurora::sim::pass::live(&engines_moved, this, engines_seen_)) {
+        engines_seen_ = eng_.engine_version();
+        for (std::size_t u = 0; u < num_targets_; ++u) {
+            if (vh_[u] != 0) {
+                remote_[u] = {eng_.engine_health(u), eng_.engine_probation(u)};
+            }
         }
     }
-    for (std::size_t t = 0; t < num_targets_; ++t) {
-        plan_dispatch(t);
-    }
-    if (num_vhs_ > 1) {
-        // The remote-only pause reads every engine's health, and so does
-        // wait_all()'s stall check after the pass.
-        plan_.wake_live(&engines_moved, this);
-        if (waits_only_remote()) {
-            plan_.step(rt_.costs().local_poll_ns, tag_of(0, step_pause));
-        }
-        plan_.wake_live(&engines_moved, this);
-    }
-}
-
-void executor::plan_dispatch(std::size_t t) {
-    const target_queues& tq = targets_[t];
-    if (vh_[t] != 0) {
-        plan_.wake_live(&engines_moved, this); // another VH drives its health
-    }
-    if (target_terminal(t)) {
-        return; // evacuate() finds nothing queued
-    }
-    if (eng_.engine_health(t) == ham::offload::target_health::recovering) {
-        eng_.plan_poll_recovery(t, plan_, tag_of(t, step_recovery));
-        return;
-    }
-    if (tq.inflight.size() >= effective_window(t) || tq.ready.empty()) {
-        return; // a full window, or nothing queued and nothing to steal
-    }
-    // The group dispatch would gather: it stays the same until one of its
-    // tasks passes its deadline.
-    const std::size_t n = group_size(tq.ready, slot_capacity(rt_));
-    planned_group_[t] = static_cast<std::uint32_t>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (const std::int64_t d = tasks_[tq.ready[i]].opts.deadline_ns; d > 0) {
-            plan_.wake_at(d);
-        }
-    }
-    if (n > 1) {
-        plan_.step(rt_.costs().ham_msg_construct_ns, tag_of(t, step_construct));
-    }
-    eng_.plan_send(t, plan_, tag_of(t, step_send));
-}
-
-bool executor::park_idle(aurora::sim::time_ns also_at, bool& progress) {
-    plan_pass(also_at);
-    std::uint32_t woke = no_step;
-    if (!plan_.park(woke)) {
-        return false;
-    }
-    progress = drain_once(woke);
-    return true;
+    return remote_[t];
 }
 
 void executor::run_host_task(task_id id) {
@@ -633,7 +541,7 @@ void executor::run_host_task(task_id id) {
                 std::move(err));
 }
 
-bool executor::harvest_target(std::size_t t, std::uint32_t woke) {
+bool executor::harvest_target(std::size_t t) {
     target_queues& tq = targets_[t];
     bool progress = false;
     // The target loop serves messages in send order, so flights complete
@@ -641,11 +549,7 @@ bool executor::harvest_target(std::size_t t, std::uint32_t woke) {
     // keeps the poll cost (and thus virtual time) independent of the window.
     while (!tq.inflight.empty()) {
         flight& f = tq.inflight.front();
-        const bool landed = woke != no_step
-                                ? f.fut.resume_test((woke & 7) == step_probe)
-                                : f.fut.test();
-        woke = no_step;
-        if (!landed) {
+        if (!f.fut.test()) {
             break;
         }
         retire_flight(t, f);
@@ -704,63 +608,53 @@ std::size_t executor::group_size(const std::deque<task_id>& q,
     }
     used += bytes(q.front());
     std::size_t n = 1;
-    while (n < cfg_.max_batch && n < q.size() && !past_deadline(q[n]) &&
-           used + bytes(q[n]) <= cap) {
+    while (n < cfg_.max_batch && n < q.size() && used + bytes(q[n]) <= cap &&
+           !past_deadline(q[n])) {
         used += bytes(q[n]);
         ++n;
     }
     return n;
 }
 
-bool executor::dispatch_target(std::size_t t, std::uint32_t woke) {
+bool executor::dispatch_target(std::size_t t) {
     target_queues& tq = targets_[t];
-    if (woke == no_step) {
-        if (target_terminal(t)) {
-            // A dead target dispatches nothing; anything still queued here
-            // moves to the survivors (its in-flight work re-routes via
-            // retire_flight).
-            const bool moved = !tq.ready.empty();
-            evacuate(t);
-            return moved;
-        }
-        if (eng_.engine_health(t) == ham::offload::target_health::recovering) {
-            // Drive the heal state machine (the probe advances virtual time
-            // towards the re-attach deadline and performs the respawn +
-            // replay when it arrives); queued tasks and parked flights wait
-            // it out.
-            eng_.engine_poll_recovery(t);
-            return false;
-        }
-    } else if ((woke & 7) == step_recovery) {
-        return false; // the recovery poll's pause was its last step
+    const engine_view v = view(t);
+    if (v.health == ham::offload::target_health::failed) {
+        // A dead target dispatches nothing; anything still queued here moves
+        // to the survivors (its in-flight work re-routes via retire_flight).
+        const bool moved = !tq.ready.empty();
+        evacuate(t);
+        return moved;
+    }
+    if (v.health == ham::offload::target_health::recovering) {
+        // Drive the heal state machine (the probe advances virtual time
+        // towards the re-attach deadline and performs the respawn + replay
+        // when it arrives); queued tasks and parked flights wait it out.
+        eng_.engine_poll_recovery(t);
+        return false;
     }
     bool progress = false;
 
-    const std::uint32_t win = effective_window(t);
+    const std::uint32_t win = window_of(v);
     while (tq.inflight.size() < win) {
-        std::size_t n = planned_group_[t]; // gathered before the step woken after
-        if (woke == no_step) {
-            if (tq.ready.empty()) {
-                if (cfg_.policy != placement_policy::work_stealing ||
-                    !steal_into(t)) {
-                    break;
-                }
+        if (tq.ready.empty()) {
+            if (cfg_.policy != placement_policy::work_stealing || !steal_into(t)) {
+                break;
             }
-            // Cancellation point: expired work is dropped here, before it
-            // can consume a message slot — counted, and its dependents
-            // cascade.
-            while (!tq.ready.empty() && past_deadline(tq.ready.front())) {
-                const task_id late = tq.ready.front();
-                tq.ready.pop_front();
-                tq.pinned -= tasks_[late].opts.pinned ? 1U : 0U;
-                expire_task(late);
-                progress = true;
-            }
-            if (tq.ready.empty()) {
-                continue; // the purge emptied the queue; try to steal again
-            }
-            n = group_size(tq.ready, slot_capacity(rt_));
         }
+        // Cancellation point: expired work is dropped here, before it can
+        // consume a message slot — counted, and its dependents cascade.
+        while (!tq.ready.empty() && past_deadline(tq.ready.front())) {
+            const task_id late = tq.ready.front();
+            tq.ready.pop_front();
+            tq.pinned -= tasks_[late].opts.pinned ? 1U : 0U;
+            expire_task(late);
+            progress = true;
+        }
+        if (tq.ready.empty()) {
+            continue; // the purge emptied the queue; try to steal again
+        }
+        const std::size_t n = group_size(tq.ready, slot_capacity(rt_));
 
         // Gather the group from the queue front into the kept scratch: one
         // task goes out as a plain user message, two or more as one batch
@@ -788,11 +682,9 @@ bool executor::dispatch_target(std::size_t t, std::uint32_t woke) {
                 ready_ns = std::min(ready_ns, tasks_[id].ready_at_ns);
             }
         }
-        const bool resumed = woke != no_step && (woke & 7) == step_send;
-        if (n > 1 && woke == no_step) {
-            aurora::sim::advance(rt_.costs().ham_msg_construct_ns);
+        if (n > 1) {
+            aurora::sim::pass::step(rt_.costs().ham_msg_construct_ns);
         }
-        woke = no_step;
         const void* msg = tasks_[group_.front()].msg.data();
         std::size_t len = tasks_[group_.front()].msg.size();
         auto kind = ham::offload::protocol::msg_kind::user;
@@ -802,10 +694,7 @@ bool executor::dispatch_target(std::size_t t, std::uint32_t woke) {
             kind = ham::offload::protocol::msg_kind::batch;
         }
         flight f;
-        const bool sent_ok =
-            resumed ? eng_.resume_send(t, msg, len, kind, ready_ns, f.fut)
-                    : eng_.engine_send(t, msg, len, kind, ready_ns, f.fut);
-        if (!sent_ok) {
+        if (!eng_.engine_send(t, msg, len, kind, ready_ns, f.fut)) {
             // The round-robin slot is busy (e.g. host-task put/get traffic).
             // Put the group back in order and retry on the next drain.
             for (auto it = group_.rbegin(); it != group_.rend(); ++it) {
@@ -905,27 +794,27 @@ bool executor::steal_into(std::size_t thief) {
     return true;
 }
 
-bool executor::target_usable(std::size_t t) const {
-    const auto h = eng_.engine_health(t);
+bool executor::target_usable(std::size_t t) {
+    const auto h = view(t).health;
     return h != ham::offload::target_health::failed &&
            h != ham::offload::target_health::recovering;
 }
 
-bool executor::target_terminal(std::size_t t) const {
-    return eng_.engine_health(t) == ham::offload::target_health::failed;
+bool executor::target_terminal(std::size_t t) {
+    return view(t).health == ham::offload::target_health::failed;
 }
 
-std::uint32_t executor::effective_window(std::size_t t) {
+std::uint32_t executor::window_of(const engine_view& v) const {
     // Reintegration ramp: a target fresh out of recovery starts with a window
     // of one and earns the full window back linearly as its clean-result
     // streak approaches recovery_streak (the same streak that later promotes
     // it to healthy).
-    if (eng_.engine_health(t) != ham::offload::target_health::probation) {
+    if (v.health != ham::offload::target_health::probation) {
         return window_;
     }
     const std::uint32_t streak =
         std::max<std::uint32_t>(rt_.options().recovery_streak, 1);
-    const std::uint32_t progress = std::min(eng_.engine_probation(t), streak);
+    const std::uint32_t progress = std::min(v.probation, streak);
     return 1 + (window_ - 1) * progress / streak;
 }
 

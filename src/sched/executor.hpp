@@ -16,9 +16,10 @@
 //   * consecutive ready tasks bound for the same engine coalesce into one
 //     batch message (protocol::msg_kind::batch) when they fit the slot
 //     payload, amortising the per-message protocol cost of paper Fig. 9,
-//   * waiting costs the simulator nothing: after a pass that found nothing
-//     the executor describes its next pass (ham::offload::poll_plan) and
-//     parks until one of its checks would act (sim::poll).
+//   * waiting costs the simulator nothing: the executor runs each pass
+//     through the pass cursor (sim::pass), and after a pass that found
+//     nothing it parks on that pass's record until one of its checks would
+//     act.
 //
 // Determinism contract: every decision derives from virtual time, submission
 // order and stable tie-breaking (lowest node id, FIFO queues) — never host
@@ -113,14 +114,9 @@ public:
     /// flights, refill the dispatch windows. True when anything progressed.
     /// The pump for callers (aurora::admit) that interleave submission with
     /// their own control flow instead of parking in wait_all().
-    bool poll() { return drain_once(no_step); }
-    /// After a poll() that made no progress: the next pass, parked through
-    /// the passes that would find nothing (the caller's own check before
-    /// each pass acting from `also_at` counts too). False when that pass
-    /// acts before it advances (or takes no time): nothing ran and the
-    /// caller runs its pass itself. Else true, with `progress` telling
-    /// whether the rest of the pass that acted made any.
-    bool park_idle(aurora::sim::time_ns also_at, bool& progress);
+    /// Its steps and checks go through sim::pass: a caller's loop parks on
+    /// it after a tick that made no progress.
+    bool poll() { return drain_once(); }
     /// Submitted tasks not yet settled (done, failed or expired).
     [[nodiscard]] std::size_t unfinished() const noexcept {
         return tasks_.size() - finished_count_;
@@ -185,42 +181,33 @@ private:
     /// the first error text for diagnostics.
     void note_failure(const std::string& what);
 
-    // --- one pass, and the same pass parked ----------------------------------
-    // A parked pass resumes after one of its steps, named by a tag: the
-    // engine in the high bits, the step's kind in the low three.
-    enum step_kind : std::uint32_t {
-        step_check,     ///< the front flight's future check
-        step_probe,     ///< ...and its probe (step_check + 1)
-        step_recovery,  ///< a recovering engine's poll pause
-        step_construct, ///< building a batch message before its send
-        step_send,      ///< the refused send's probe of the cursor slot
-        step_pause,     ///< the pass's remote-only pause (its last step)
-    };
-    static constexpr std::uint32_t no_step = ~std::uint32_t{0};
-    [[nodiscard]] static std::uint32_t tag_of(std::size_t t, step_kind k) {
-        return static_cast<std::uint32_t>(t) << 3 | k;
-    }
-    /// One pass; from the start (no_step) or from after the step `woke`.
-    bool drain_once(std::uint32_t woke);
+    /// One pass: host tasks, harvests, dispatches (sim::pass records it).
+    bool drain_once();
     /// Does a pass that made no progress end with the remote-only pause?
     [[nodiscard]] bool waits_only_remote();
     void run_host_task(task_id id);
-    bool harvest_target(std::size_t t, std::uint32_t woke);
+    bool harvest_target(std::size_t t);
     void retire_flight(std::size_t t, flight& f);
-    bool dispatch_target(std::size_t t, std::uint32_t woke);
+    bool dispatch_target(std::size_t t);
     bool steal_into(std::size_t thief);
     /// How many tasks from the front of `q` the next message carries: the
     /// front one, plus (batching) the consecutive ones that fit `cap` bytes,
     /// up to max_batch, stopping at one past its deadline.
     [[nodiscard]] std::size_t group_size(const std::deque<task_id>& q,
                                          std::size_t cap) const;
-    /// The next pass as the state stands, into plan_.
-    void plan_pass(aurora::sim::time_ns also_at);
-    void plan_dispatch(std::size_t t);
-    /// plan_'s check on engines other VHs drive: 0 once engine_version()
-    /// moved since the plan, else never.
+    /// What a pass reads of engine `t`'s health and probation progress. A
+    /// local engine's is the executor's own state. An engine on another VH
+    /// moves by itself, so the pass reads the copy taken when a live check
+    /// (sim::pass) last saw engine_version() move: a replayed pass then
+    /// reads what its record read.
+    struct engine_view {
+        ham::offload::target_health health = ham::offload::target_health::healthy;
+        std::uint32_t probation = 0;
+    };
+    [[nodiscard]] engine_view view(std::size_t t);
+    /// The live check: 0 once engine_version() moved from `seen`, else never.
     [[nodiscard]] static aurora::sim::time_ns engines_moved(const void* self,
-                                                           std::uint64_t);
+                                                           std::uint64_t seen);
 
     // --- graceful degradation + self-healing (aurora::fault, aurora::heal) --
     // When a target transitions to target_health::failed (terminal — recovery
@@ -234,9 +221,10 @@ private:
     // completes exactly once) and then `probation`, where the in-flight window
     // ramps from 1 back to the configured size as the clean-result streak
     // grows (reintegration).
-    [[nodiscard]] bool target_usable(std::size_t t) const;  ///< dispatchable
-    [[nodiscard]] bool target_terminal(std::size_t t) const;///< failed for good
-    [[nodiscard]] std::uint32_t effective_window(std::size_t t);
+    [[nodiscard]] bool target_usable(std::size_t t);  ///< dispatchable
+    [[nodiscard]] bool target_terminal(std::size_t t);///< failed for good
+    /// The in-flight window of an engine seen as `v`.
+    [[nodiscard]] std::uint32_t window_of(const engine_view& v) const;
     /// A live engine for re-routed work, on `near`'s VH when one is usable.
     [[nodiscard]] std::size_t next_healthy(std::size_t near);
     /// Why pinned task `id` failed with engine `t`.
@@ -275,11 +263,10 @@ private:
     bool failed_ = false;
     std::string first_error_;
 
-    /// The parked pass, and what it fixed when planned: each engine's next
-    /// message length, and engine_version() (read by other VHs' checks).
-    ham::offload::poll_plan plan_;
-    std::vector<std::uint32_t> planned_group_;
-    std::uint64_t engines_seen_ = 0;
+    /// The views of the engines on other VHs (by engine index), and the
+    /// engine_version() they were taken at.
+    std::vector<engine_view> remote_;
+    std::uint64_t engines_seen_ = ~std::uint64_t{0};
     /// Dispatch scratch, kept across passes: a group's tasks and its batch.
     std::vector<task_id> group_;
     ham::offload::protocol::batch_builder batch_{0};

@@ -555,6 +555,14 @@ namespace detail {
 poll_result poll(std::span<const duration_ns> steps, std::size_t first, void* ctx,
                  due_fn due) {
     AURORA_CHECK_MSG(first < steps.size(), "poll: first step out of range");
+#if defined(AURORA_SIM_LITERAL_POLL)
+    // The reference the tests compare parking against: every pass runs, as
+    // the loop would (the caller's checks find nothing and it polls again).
+    static_cast<void>(ctx);
+    static_cast<void>(due);
+    advance(steps[first]);
+    return {first, 0, first, steps.size()};
+#else
     process& me = self();
     parked_poll q;
     q.steps = steps;
@@ -576,6 +584,7 @@ poll_result poll(std::span<const duration_ns> steps, std::size_t first, void* ct
     q.due = due;
     me.sim_.park_current(me, q);
     return {q.at, q.passes, first, steps.size()};
+#endif
 }
 } // namespace detail
 

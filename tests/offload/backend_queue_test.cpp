@@ -117,42 +117,55 @@ TEST_P(QueueBackend, TargetExceptionPropagates) {
     });
 }
 
-TEST_P(QueueBackend, PinnedVirtualCosts) {
-    // Each kind's exact virtual costs on the test machine. The switch count
-    // covers the whole run (start-up and teardown included), so a stray
-    // zero-length advance — a yield — shows even where it costs no time.
-    // Result waits park between probes (sim::poll), so both kinds switch
-    // only when a message, a result or a transfer moves.
-    struct pinned {
-        aurora::sim::duration_ns sync_ns;
-        aurora::sim::duration_ns put_get_ns;
-        std::uint64_t switches;
-    };
-    const pinned want = GetParam() == backend_kind::tcp ? pinned{83'903, 102'052, 15}
-                                                        : pinned{2'400, 694, 15};
-    aurora::sim::platform plat(aurora::sim::platform_config::test_machine());
+/// One sync offload after a warm-up, then a 4 KiB put and get, on `plat`:
+/// the virtual ns of the sync and of the put+get pair.
+struct pinned_run {
     aurora::sim::duration_ns sync_ns = 0;
     aurora::sim::duration_ns put_get_ns = 0;
-    ASSERT_EQ(run(plat, opts(),
+};
+
+pinned_run run_pinned(aurora::sim::platform& plat, const runtime_options& opt) {
+    pinned_run r;
+    EXPECT_EQ(run(plat, opt,
                   [&] {
                       sync(1, ham::f2f<&tk::empty_kernel>()); // warm-up
                       aurora::sim::time_ns t0 = aurora::sim::now();
                       sync(1, ham::f2f<&tk::empty_kernel>());
-                      sync_ns = aurora::sim::now() - t0;
+                      r.sync_ns = aurora::sim::now() - t0;
                       std::vector<std::byte> v(4096, std::byte{0x5A});
                       std::vector<std::byte> back(v.size());
                       auto buf = allocate<std::byte>(1, v.size());
                       t0 = aurora::sim::now();
                       put(v.data(), buf, v.size()).get();
                       get(buf, back.data(), back.size()).get();
-                      put_get_ns = aurora::sim::now() - t0;
+                      r.put_get_ns = aurora::sim::now() - t0;
                       EXPECT_EQ(v, back);
                       free(buf);
                   }),
               0);
-    EXPECT_EQ(sync_ns, want.sync_ns);
-    EXPECT_EQ(put_get_ns, want.put_get_ns);
-    EXPECT_EQ(plat.sim().stats().context_switches, want.switches);
+    return r;
+}
+
+TEST_P(QueueBackend, PinnedVirtualCosts) {
+    // Each kind's exact virtual costs on the test machine.
+    const pinned_run want = GetParam() == backend_kind::tcp
+                                ? pinned_run{83'903, 102'052}
+                                : pinned_run{2'400, 694};
+    aurora::sim::platform plat(aurora::sim::platform_config::test_machine());
+    const pinned_run got = run_pinned(plat, opts());
+    EXPECT_EQ(got.sync_ns, want.sync_ns);
+    EXPECT_EQ(got.put_get_ns, want.put_get_ns);
+}
+
+TEST_P(QueueBackend, ParkedResultWaitSwitches) {
+    // The same run's context switches. The count covers the whole run
+    // (start-up and teardown included), so a stray zero-length advance — a
+    // yield — shows even where it costs no time. Result waits park between
+    // probes (sim::poll), so both kinds switch only when a message, a result
+    // or a transfer moves.
+    aurora::sim::platform plat(aurora::sim::platform_config::test_machine());
+    run_pinned(plat, opts());
+    EXPECT_EQ(plat.sim().stats().context_switches, 15u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, QueueBackend,

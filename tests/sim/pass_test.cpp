@@ -1,14 +1,14 @@
-// ham::offload::poll_plan against the multi-word loop it parks.
+// The pass cursor (sim::pass) against the multi-word loop it parks.
 //
 // A seeded world of pollers and writers runs twice. A poller repeats a pass
 // of steps (advance) and checks at fixed places: word checks that consume a
 // store, one-shot timers, and counters every evaluation bumps. Once with
-// every pass written out; once parked after each pass that found nothing,
-// through a poll_plan describing the next pass, resuming after the step the
-// plan names and running the rest of that pass. Both runs must produce the
+// every pass written out; once with the same pass run through the cursor and
+// parked on its record after each pass that found nothing, replayed up to
+// the step it woke after and run live from there. Both runs must produce the
 // same log (who saw what, when, in which order), the same counters (skipped
-// evaluations booked through on_skip), the same final clock and the same
-// error when the virtual deadline ends a run.
+// evaluations booked through tally), the same final clock and the same error
+// when the virtual deadline ends a run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,13 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "offload/poll_plan.hpp"
 #include "sim/engine.hpp"
+#include "sim/pass.hpp"
+#include "util/check.hpp"
 
 namespace {
 
 using namespace aurora;
-using ham::offload::poll_plan;
 
 struct rng {
     std::uint64_t s;
@@ -133,10 +133,10 @@ outcome run(const world& w, bool parked) {
             const std::string me = 'p' + std::to_string(id);
             std::vector<bool> fired(spec.pass.size(), false);
             int seen = 0;
-            // The pass from place `from` on; true when a check acted.
-            const auto pass = [&](std::size_t from) {
+            // The pass written out; true when a check acted.
+            const auto pass = [&] {
                 bool acted = false;
-                for (std::size_t i = from; i < spec.pass.size(); ++i) {
+                for (std::size_t i = 0; i < spec.pass.size(); ++i) {
                     const place& pl = spec.pass[i];
                     switch (pl.k) {
                         case place::step:
@@ -169,35 +169,53 @@ outcome run(const world& w, bool parked) {
                 }
                 return acted;
             };
-            poll_plan plan;
-            bool idle = false;
-            while (seen < spec.values) {
-                if (parked && idle) {
-                    plan.clear();
-                    for (std::size_t i = 0; i < spec.pass.size(); ++i) {
-                        const place& pl = spec.pass[i];
-                        switch (pl.k) {
-                            case place::step:
-                                plan.step(pl.ns, static_cast<std::uint32_t>(i));
-                                break;
-                            case place::word:
-                                plan.wake_live(&word_due, &mem[pl.word_at]);
-                                break;
-                            case place::timer:
-                                plan.wake_at(fired[i] ? sim::never : pl.when);
-                                break;
-                            case place::counter:
-                                plan.on_skip(&bump, &out.counters[base + i]);
-                                break;
-                        }
-                    }
-                    std::uint32_t tag = 0;
-                    if (plan.park(tag)) {
-                        idle = !pass(tag + 1);
-                        continue;
+            // The same pass through the cursor.
+            const auto cursor_pass = [&] {
+                bool acted = false;
+                for (std::size_t i = 0; i < spec.pass.size(); ++i) {
+                    const place& pl = spec.pass[i];
+                    switch (pl.k) {
+                        case place::step:
+                            sim::pass::step(pl.ns);
+                            break;
+                        case place::word:
+                            if (sim::pass::live(&word_due, &mem[pl.word_at])) {
+                                out.log.push_back(entry(
+                                    sim::now(),
+                                    me + " saw " + std::to_string(mem[pl.word_at]) +
+                                        " at " + std::to_string(i)));
+                                mem[pl.word_at] = 0;
+                                ++seen;
+                                acted = true;
+                            }
+                            break;
+                        case place::timer:
+                            if (!fired[i] && sim::pass::at(pl.when)) {
+                                out.log.push_back(entry(
+                                    sim::now(),
+                                    me + " timer " + std::to_string(i)));
+                                fired[i] = true;
+                                acted = true;
+                            }
+                            break;
+                        case place::counter:
+                            sim::pass::tally(&bump, &out.counters[base + i]);
+                            break;
                     }
                 }
-                idle = !pass(0);
+                return acted;
+            };
+            if (parked) {
+                sim::pass_loop loop("seeded poller");
+                for (; seen < spec.values; loop.begin()) {
+                    if (!cursor_pass()) {
+                        loop.park();
+                    }
+                }
+            } else {
+                while (seen < spec.values) {
+                    pass();
+                }
             }
             out.log.push_back(entry(sim::now(), me + " done"));
         });
@@ -253,5 +271,123 @@ INSTANTIATE_TEST_SUITE_P(
         return "seeds_" + std::to_string(block.param) + "_to_" +
                std::to_string(block.param + 99);
     });
+
+TEST(PassCursor, ParkedReplayDivergingFromItsRecordTripsTheCheck) {
+    // The pass reads `first_step` without a check, against the rule: the
+    // writer moves it while the loop is parked, so the woken pass's replay
+    // takes another step than its record and the loop fails by name.
+    sim::simulation sim;
+    std::uint64_t word = 0;
+    sim::duration_ns first_step = 100;
+    sim.spawn("poller", [&] {
+        sim::pass_loop loop("divergent poller");
+        for (;; loop.begin()) {
+            sim::pass::step(first_step);
+            sim::pass::step(200);
+            if (sim::pass::live(&word_due, &word)) {
+                return;
+            }
+            loop.park();
+        }
+    });
+    sim.spawn("writer", [&] {
+        sim::advance(1'000);
+        first_step = 150;
+        word = 1;
+    });
+    try {
+        sim.run();
+        FAIL() << "the diverging replay went unnoticed";
+    } catch (const check_error& e) {
+        EXPECT_NE(std::string(e.what()).find("divergent poller"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("takes 150 ns, its record 100"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/// An outer loop waits for stores to `a`; each one it sees opens an inner
+/// loop inside its pass, which waits for a store to `b`. Parked or written
+/// out, the run logs the same events at the same times.
+std::vector<std::string> nested_run(bool parked, std::vector<bool>* outer_parked) {
+    std::vector<std::string> log;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    sim::simulation sim;
+    sim.spawn("outer", [&] {
+        const auto inner_wait = [&] {
+            if (!parked) {
+                do {
+                    sim::advance(100);
+                } while (b == 0);
+            } else {
+                sim::pass_loop inner("inner");
+                for (;; inner.begin()) {
+                    sim::pass::step(100);
+                    if (sim::pass::live(&word_due, &b)) {
+                        break;
+                    }
+                    inner.park();
+                }
+            }
+            log.push_back(entry(sim::now(), "inner saw " + std::to_string(b)));
+            b = 0;
+        };
+        int seen = 0;
+        if (!parked) {
+            while (seen < 2) {
+                sim::advance(300);
+                if (a != 0) {
+                    log.push_back(
+                        entry(sim::now(), "outer saw " + std::to_string(a)));
+                    a = 0;
+                    ++seen;
+                    inner_wait();
+                }
+            }
+            return;
+        }
+        sim::pass_loop outer("outer");
+        for (; seen < 2; outer.begin()) {
+            sim::pass::step(300);
+            bool opened = false;
+            if (sim::pass::live(&word_due, &a)) {
+                log.push_back(entry(sim::now(), "outer saw " + std::to_string(a)));
+                a = 0;
+                ++seen;
+                inner_wait();
+                opened = true;
+            }
+            const bool did_park = outer.park();
+            if (opened) {
+                outer_parked->push_back(did_park);
+            }
+        }
+    });
+    sim.spawn("writer", [&] {
+        sim::advance(2'000);
+        a = 1;
+        sim::advance(5'000);
+        b = 2;
+        sim::advance(9'000);
+        a = 3;
+        sim::advance(1'000);
+        b = 4;
+    });
+    sim.run();
+    log.push_back(entry(sim.now(), "end"));
+    return log;
+}
+
+TEST(PassCursor, ALoopOpenedInsideAnotherLoopsPassParksOnItsOwnRecord) {
+    std::vector<bool> outer_parked;
+    const std::vector<std::string> parked = nested_run(true, &outer_parked);
+    EXPECT_EQ(nested_run(false, nullptr), parked);
+    ASSERT_EQ(parked.size(), 5u);
+    // The passes that ran an inner loop count as progress: the outer loop
+    // runs its next pass live instead of parking on them.
+    EXPECT_EQ(outer_parked, (std::vector<bool>{false, false}));
+}
 
 } // namespace

@@ -306,10 +306,10 @@ TEST(PollDifferential, StoreOnATickIsSeenInTheLoopsTieOrder) {
     }
 }
 
-TEST(PollDifferential, HostWaitCycleAndFarSocketPollers) {
-    // The host wait's three steps (future check, probe read, pause) beside
-    // two LHM pollers, one across the UPI link, all parked at once while a
-    // writer sleeps through one long advance.
+/// The host wait's three steps (future check, probe read, pause) beside two
+/// LHM pollers, one across the UPI link, all parked at once while a writer
+/// sleeps through one long advance.
+world host_wait_cycle_world() {
     world w;
     w.words = 3;
     w.pollers.push_back({{300, 100, 100}, 1, 0, 0, 0, 1});
@@ -318,13 +318,20 @@ TEST(PollDifferential, HostWaitCycleAndFarSocketPollers) {
     w.writers.push_back({{10'000'000, 0, 1, 5, 0},
                          {0, 0, 2, 6, 0},
                          {0, 0, 0, 4, 0}});
-    const outcome parked = run_world(w, true);
-    const outcome loop = run_world(w, false);
-    EXPECT_EQ(loop, parked);
+    return w;
+}
+
+TEST(PollDifferential, HostWaitCycleAndFarSocketPollers) {
+    const world w = host_wait_cycle_world();
+    EXPECT_EQ(run_world(w, false), run_world(w, true));
+}
+
+TEST(PollDifferential, ParkedHostWaitCycleSwitchesRarely) {
     // The loop resumes its pollers tens of thousands of times; parked, each
     // wakes once.
-    EXPECT_GT(loop.switches, 10'000u);
-    EXPECT_LT(parked.switches, 20u);
+    const world w = host_wait_cycle_world();
+    EXPECT_GT(run_world(w, false).switches, 10'000u);
+    EXPECT_LT(run_world(w, true).switches, 20u);
 }
 
 TEST(PollDifferential, KillsAndTimeoutsWakeParkedPollers) {
