@@ -33,9 +33,9 @@ void empty_kernel() {}
 /// Metric updates on one loopback offload round trip. Histogram records:
 /// message-size, backend send latency, backend receive latency, round trip —
 /// four. Scalar counter/gauge updates: messages, in-flight up/down, queue
-/// up/down, backend sends/polls/bytes in and out, results, and the two
-/// trace-bridge byte counters — fourteen (the poll counter repeats when a
-/// result is not ready on the first check; loopback arrivals are immediate).
+/// up/down, backend sends/polls/bytes in and out, results — twelve, budgeted
+/// as fourteen (the poll counter repeats when a result is not ready on the
+/// first check; loopback arrivals are immediate).
 constexpr int histogram_sites_per_offload = 4;
 constexpr int counter_sites_per_offload = 14;
 

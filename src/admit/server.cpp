@@ -496,9 +496,15 @@ bool server::reconcile() {
         breaker* b = on >= 1 && static_cast<std::size_t>(on) <= breakers_.size()
                          ? &breakers_[static_cast<std::size_t>(on) - 1]
                          : nullptr;
-        // A probe that never reached its engine (rerouted, expired) settles
-        // the outcome breaker normally but must free the probe slot on the
-        // engine it was probing, or that breaker wedges half-open.
+        // A half-open breaker takes only its probe's verdict.
+        const bool probe_of_b = r->probe && on == r->topts.affinity;
+        if (b != nullptr && !probe_of_b && b->state() == breaker_state::half_open) {
+            b = nullptr;
+        }
+        // A probe that never reached its engine (rerouted, expired) counts on
+        // the engine it ran on like any other request, but must free the
+        // probe slot on the engine it was probing, or that breaker wedges
+        // half-open.
         if (r->probe && on != r->topts.affinity) {
             breakers_[static_cast<std::size_t>(r->topts.affinity) - 1]
                 .abort_probe();

@@ -239,11 +239,6 @@ std::int64_t injector::delay_spike() {
     return cfg_.delay_ns;
 }
 
-void injector::note_idle_timeout() {
-    ++stats_.idle_timeouts;
-    mirror_fault("idle_timeout");
-}
-
 void injector::corrupt_byte(std::byte* data, std::size_t len) {
     if (len == 0) {
         return;

@@ -70,7 +70,6 @@ struct counters {
     std::uint64_t delay_spikes = 0;
     std::uint64_t kills = 0;
     std::uint64_t attach_failures = 0;
-    std::uint64_t idle_timeouts = 0;
     std::uint64_t revivals = 0;
 
     bool operator==(const counters&) const = default;
@@ -139,9 +138,6 @@ public:
         return __atomic_load_n(&armed_, __ATOMIC_RELAXED) ? armed_kill_due(node)
                                                          : sim::never;
     }
-    /// Record a target that gave up waiting for the host (idle timeout).
-    void note_idle_timeout();
-
     // --- probabilistic draws (only meaningful while active()) ----------------
     [[nodiscard]] bool should_drop();
     [[nodiscard]] bool should_corrupt();

@@ -210,66 +210,4 @@ std::vector<registry::family_snapshot> registry::snapshot() const {
     return out;
 }
 
-// --- trace counter bridge ---------------------------------------------------
-//
-// AURORA_TRACE_COUNTER fires on offload hot paths, so the cat/name ->
-// counter resolution must not take the registry mutex per call. A small
-// open-addressed table keyed by the literals' pointer identity gives a
-// lock-free fast path; the slow path (first sighting of a site) registers
-// the series under the registry mutex and publishes the slot with
-// release/acquire ordering.
-
-namespace {
-
-struct bridge_slot {
-    std::atomic<const char*> cat{nullptr};
-    const char* name = nullptr;
-    counter* c = nullptr;
-};
-
-constexpr std::size_t bridge_slots = 256; // comfortably > distinct call sites
-bridge_slot g_bridge[bridge_slots];
-std::mutex g_bridge_mu;
-
-[[nodiscard]] std::size_t bridge_hash(const char* cat, const char* name) {
-    auto h = reinterpret_cast<std::uintptr_t>(cat) * 0x9E3779B97F4A7C15ULL;
-    h ^= reinterpret_cast<std::uintptr_t>(name) * 0xC2B2AE3D27D4EB4FULL;
-    return static_cast<std::size_t>((h >> 16) % bridge_slots);
-}
-
-} // namespace
-
-counter& trace_bridge_counter(const char* cat, const char* name) {
-    std::size_t i = bridge_hash(cat, name);
-    for (std::size_t probes = 0; probes < bridge_slots; ++probes) {
-        bridge_slot& slot = g_bridge[i];
-        const char* seen = slot.cat.load(std::memory_order_acquire);
-        if (seen == cat && slot.name == name) {
-            return *slot.c;
-        }
-        if (seen == nullptr) {
-            std::lock_guard<std::mutex> lock(g_bridge_mu);
-            seen = slot.cat.load(std::memory_order_relaxed);
-            if (seen == nullptr) {
-                slot.c = &registry::global().counter_for(
-                    "aurora_trace_counter_total",
-                    labels({{"cat", cat}, {"name", name}}),
-                    "AURORA_TRACE_COUNTER totals bridged from aurora::trace");
-                slot.name = name;
-                slot.cat.store(cat, std::memory_order_release);
-                return *slot.c;
-            }
-            if (seen == cat && slot.name == name) {
-                return *slot.c;
-            }
-            // Collision: another site claimed the slot first — keep probing.
-        }
-        i = (i + 1) % bridge_slots;
-    }
-    // Table full (pathological): fall back to the registry's own lookup.
-    return registry::global().counter_for(
-        "aurora_trace_counter_total", labels({{"cat", cat}, {"name", name}}),
-        "AURORA_TRACE_COUNTER totals bridged from aurora::trace");
-}
-
 } // namespace aurora::metrics

@@ -296,11 +296,4 @@ private:
     std::map<std::string, family, std::less<>> families_;
 };
 
-/// Counter bridge for aurora::trace: every AURORA_TRACE_COUNTER site also
-/// feeds the global registry (family aurora_trace_counter_total, labels
-/// cat/name), whether or not tracing is enabled. `cat` and `name` must be
-/// string literals (the cache is keyed by pointer identity — the same
-/// contract trace events already impose).
-[[nodiscard]] counter& trace_bridge_counter(const char* cat, const char* name);
-
 } // namespace aurora::metrics

@@ -126,19 +126,24 @@ cluster::cluster(sim::platform& plat, cluster_options opt)
 }
 
 cluster::~cluster() {
-    for (auto& up : gateways_) {
-        gateway& g = *up;
-        proto::routing_header h;
-        h.src_node = 0;
-        h.dst_node = static_cast<std::uint16_t>(g.vh);
-        h.target = 0;
-        h.kind = proto::msg_kind::terminate;
-        h.ticket = 0;
-        std::vector<std::byte> frame = proto::make_routed_frame(h, nullptr, 0);
-        send_blocking(g, frame);
-    }
-    for (auto& up : gateways_) {
-        sim::join(*up->proc);
+    try {
+        for (auto& up : gateways_) {
+            gateway& g = *up;
+            proto::routing_header h;
+            h.src_node = 0;
+            h.dst_node = static_cast<std::uint16_t>(g.vh);
+            h.target = 0;
+            h.kind = proto::msg_kind::terminate;
+            h.ticket = 0;
+            std::vector<std::byte> frame =
+                proto::make_routed_frame(h, nullptr, 0);
+            send_blocking(g, frame);
+        }
+        for (auto& up : gateways_) {
+            sim::join(*up->proc);
+        }
+    } catch (const sim::simulation_aborted&) {
+        // unwinding an aborted simulation — nothing more to do
     }
 }
 

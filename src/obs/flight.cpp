@@ -1,7 +1,6 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -72,8 +71,6 @@ namespace {
 struct registry_state {
     std::mutex mu;
     std::map<std::uint16_t, std::unique_ptr<flight_ring>> rings;
-    /// Lock-free fast path: one pointer slot per possible node id.
-    std::array<std::atomic<flight_ring*>, 65536> cache{};
 };
 
 registry_state& state() {
@@ -81,33 +78,26 @@ registry_state& state() {
     return *s;
 }
 
-std::uint32_t ring_capacity() {
-    static const std::uint32_t cap = [] {
-        const std::int64_t v =
-            env_int_or("HAM_AURORA_OBS_FLIGHT_CAP", 256);
-        return v <= 0 ? 1u : static_cast<std::uint32_t>(v);
-    }();
-    return cap;
-}
+/// Events each ring keeps.
+constexpr std::uint32_t ring_capacity = 256;
 
 } // namespace
 
 flight_ring& flight_registry::ring_for(std::uint16_t node) {
     registry_state& s = state();
-    if (flight_ring* r = s.cache[node].load(std::memory_order_acquire)) {
-        return *r;
-    }
     const std::lock_guard<std::mutex> lock(s.mu);
     auto& slot = s.rings[node];
     if (!slot) {
-        slot = std::make_unique<flight_ring>(ring_capacity());
-        s.cache[node].store(slot.get(), std::memory_order_release);
+        slot = std::make_unique<flight_ring>(ring_capacity);
     }
     return *slot;
 }
 
 flight_ring* flight_registry::find(std::uint16_t node) {
-    return state().cache[node].load(std::memory_order_acquire);
+    registry_state& s = state();
+    const std::lock_guard<std::mutex> lock(s.mu);
+    const auto it = s.rings.find(node);
+    return it == s.rings.end() ? nullptr : it->second.get();
 }
 
 std::vector<std::uint16_t> flight_registry::nodes() {
@@ -124,9 +114,6 @@ std::vector<std::uint16_t> flight_registry::nodes() {
 void flight_registry::reset() {
     registry_state& s = state();
     const std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& [node, ring] : s.rings) {
-        s.cache[node].store(nullptr, std::memory_order_release);
-    }
     s.rings.clear();
 }
 

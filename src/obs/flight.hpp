@@ -16,7 +16,8 @@
 // Lifetime: rings are owned by a process-wide registry keyed on the global
 // node id, so they survive runtime teardown (a postmortem can be inspected
 // after offload::run returned) and are shared between a target's successive
-// incarnations (epochs) — exactly what a black box is for.
+// incarnations (epochs) — exactly what a black box is for. Writers look their
+// ring up once: the runtime hands each target's ring to its backend.
 #pragma once
 
 #include <atomic>
@@ -83,12 +84,11 @@ private:
 };
 
 /// Process-wide ring registry, keyed on the global node id
-/// (runtime_options::node_base + local node). Lookup is lock-free after the
-/// first call per node.
+/// (runtime_options::node_base + local node). Lookups take a mutex: writers
+/// keep the ring they got, so lookups happen at attach and inspection only.
 class flight_registry {
 public:
-    /// The ring for `node`, created on first use (capacity from
-    /// HAM_AURORA_OBS_FLIGHT_CAP, default 256 events).
+    /// The ring for `node`, created on first use (256 events).
     [[nodiscard]] static flight_ring& ring_for(std::uint16_t node);
 
     /// The ring for `node` if one exists, else nullptr (readers).

@@ -1,6 +1,5 @@
 #include "offload/app_image.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <variant>
 
@@ -26,14 +25,17 @@ constexpr std::uint64_t round_up8(std::uint64_t v) {
     return (v + 7) & ~std::uint64_t{7};
 }
 
+/// With small SHM results on (vedma_shm_small_results), results up to this
+/// size go through SHM stores instead of user DMA.
+constexpr std::size_t shm_result_threshold = 256;
+
 // --- per-process configuration stored by the setup C-API ---------------------
 
 struct veo_target_cfg {
     std::uint64_t comm_addr = 0;
     protocol::comm_layout layout{};
     node_t node = 0;
-    std::int64_t idle_timeout_ns = 0; ///< 0 = poll forever
-    std::uint8_t epoch = 0;           ///< incarnation (aurora::heal)
+    std::uint8_t epoch = 0; ///< incarnation (aurora::heal)
 };
 
 struct vedma_target_cfg {
@@ -42,11 +44,9 @@ struct vedma_target_cfg {
     protocol::comm_layout layout{};
     node_t node = 0;
     bool shm_small_results = false;
-    std::uint32_t shm_result_threshold = 0;
     int staging_shm_key = 0; ///< 0 = DMA data path disabled
     std::uint64_t staging_chunk_bytes = 0;
-    std::int64_t idle_timeout_ns = 0; ///< 0 = poll forever
-    std::uint8_t epoch = 0;           ///< incarnation (aurora::heal)
+    std::uint8_t epoch = 0; ///< incarnation (aurora::heal)
     bool zero_copy = false; ///< accept zero-copy data_msg shapes (aurora::mem)
     int vh_socket = 0;      ///< socket of the host's user buffers
 };
@@ -55,20 +55,13 @@ using target_cfg = std::variant<veo_target_cfg, vedma_target_cfg>;
 
 /// When an idle VE's poll loop would next act, for sim::poll: now if the
 /// flag word `raw` carries the next generation (of this epoch, or a stale
-/// one the loop must clear), else at its idle timeout or its scheduled
-/// death, whichever comes first.
-template <typename Cfg>
-sim::time_ns ve_poll_due(std::uint64_t raw, std::uint8_t gen, const Cfg& cfg,
-                         sim::time_ns idle_start) {
+/// one the loop must clear), else at its scheduled death.
+sim::time_ns ve_poll_due(std::uint64_t raw, std::uint8_t gen, node_t node) {
     const protocol::flag_word flag = protocol::decode_flag(raw);
     if (flag.present() && flag.gen == protocol::next_gen(gen)) {
         return 0;
     }
-    sim::time_ns due = aurora::fault::injector::instance().kill_due(int(cfg.node));
-    if (cfg.idle_timeout_ns > 0) {
-        due = std::min(due, idle_start + cfg.idle_timeout_ns);
-    }
-    return due;
+    return aurora::fault::injector::instance().kill_due(int(node));
 }
 
 // --- target memory over the VE process's simulated HBM2 ----------------------
@@ -105,12 +98,11 @@ public:
         // notification flag of the next receive buffer" (Sec. III-D). Local
         // memory probes — the cheap side of this protocol.
         auto& inj = aurora::fault::injector::instance();
-        const sim::time_ns idle_start = sim::now();
         const std::uint64_t flag_addr =
             cfg_.comm_addr + lay.recv_base() + lay.recv.flag_offset(next_);
         const auto due = [&](std::size_t) {
             return ve_poll_due(proc_.mem().load_u64(flag_addr), recv_gen_[next_],
-                               cfg_, idle_start);
+                               cfg_.node);
         };
         for (;;) {
             inj.check_target_alive(int(cfg_.node));
@@ -126,13 +118,6 @@ public:
                 // flag so the slot polls clean, never execute the message.
                 proc_.mem().store_u64(flag_addr, 0);
                 heal::note_epoch_reject("veo", cfg_.node);
-            }
-            if (cfg_.idle_timeout_ns > 0 &&
-                sim::now() - idle_start >= cfg_.idle_timeout_ns) {
-                // The host went silent for the configured deadline: presume it
-                // is gone and exit the loop instead of polling forever.
-                inj.note_idle_timeout();
-                throw aurora::fault::target_killed{};
             }
         }
         recv_gen_[next_] = flag.gen;
@@ -266,13 +251,12 @@ public:
             // poll the flag in *host* memory via LHM — one PCIe round trip
             // each.
             auto& inj = aurora::fault::injector::instance();
-            const sim::time_ns idle_start = sim::now();
             const std::uint64_t flag_vehva =
                 comm_vehva_ + lay.recv_base() + lay.recv.flag_offset(next_);
             const aurora::vedma::lhm_word word =
                 aurora::vedma::lhm_resolve64(atb_, flag_vehva);
             const auto due = [&](std::size_t) {
-                return ve_poll_due(word.value(), recv_gen_[next_], cfg_, idle_start);
+                return ve_poll_due(word.value(), recv_gen_[next_], cfg_.node);
             };
             for (;;) {
                 inj.check_target_alive(int(cfg_.node));
@@ -291,11 +275,6 @@ public:
                     // the stale flag in host memory and keep polling.
                     aurora::vedma::shm_store64(atb_, flag_vehva, 0);
                     heal::note_epoch_reject("vedma", cfg_.node);
-                }
-                if (cfg_.idle_timeout_ns > 0 &&
-                    sim::now() - idle_start >= cfg_.idle_timeout_ns) {
-                    inj.note_idle_timeout();
-                    throw aurora::fault::target_killed{};
                 }
             }
             recv_gen_[next_] = flag.gen;
@@ -330,7 +309,7 @@ public:
         const std::uint64_t dst =
             comm_vehva_ + lay.send_base() + lay.send.buffer_offset(result_slot);
 
-        if (cfg_.shm_small_results && len <= cfg_.shm_result_threshold) {
+        if (cfg_.shm_small_results && len <= shm_result_threshold) {
             // Extension (Sec. V-B): small VE->VH payloads are faster through
             // SHM posted stores than through a DMA transfer.
             alignas(8) std::byte word_buf[8];
@@ -509,10 +488,7 @@ std::uint64_t c_api_setup_veo(aurora::veos::ve_call_context& ctx) {
         return 1;
     }
     if (ctx.arg_count() > 5) {
-        cfg.idle_timeout_ns = ctx.arg_i64(5);
-    }
-    if (ctx.arg_count() > 6) {
-        cfg.epoch = static_cast<std::uint8_t>(ctx.arg_u64(6));
+        cfg.epoch = static_cast<std::uint8_t>(ctx.arg_u64(5));
     }
     ctx.proc().user_state() = target_cfg(cfg);
     return 0;
@@ -528,25 +504,21 @@ std::uint64_t c_api_setup_vedma(aurora::veos::ve_call_context& ctx) {
     cfg.layout = layout_from(ctx.arg_u64(2), ctx.arg_u64(3));
     cfg.node = static_cast<node_t>(ctx.arg_i64(4));
     cfg.shm_small_results = ctx.arg_u64(5) != 0;
-    cfg.shm_result_threshold = static_cast<std::uint32_t>(ctx.arg_u64(6));
-    if (ctx.arg_count() > 7) {
-        cfg.staging_shm_key = static_cast<int>(ctx.arg_i64(7));
-        cfg.staging_chunk_bytes = ctx.arg_u64(8);
+    if (ctx.arg_count() > 6) {
+        cfg.staging_shm_key = static_cast<int>(ctx.arg_i64(6));
+        cfg.staging_chunk_bytes = ctx.arg_u64(7);
     }
-    if (ctx.arg_count() > 9 && check_abi(ctx.arg_u64(9)) != 0) {
+    if (ctx.arg_count() > 8 && check_abi(ctx.arg_u64(8)) != 0) {
         return 1;
     }
+    if (ctx.arg_count() > 9) {
+        cfg.epoch = static_cast<std::uint8_t>(ctx.arg_u64(9));
+    }
     if (ctx.arg_count() > 10) {
-        cfg.idle_timeout_ns = ctx.arg_i64(10);
+        cfg.zero_copy = ctx.arg_u64(10) != 0;
     }
     if (ctx.arg_count() > 11) {
-        cfg.epoch = static_cast<std::uint8_t>(ctx.arg_u64(11));
-    }
-    if (ctx.arg_count() > 12) {
-        cfg.zero_copy = ctx.arg_u64(12) != 0;
-    }
-    if (ctx.arg_count() > 13) {
-        cfg.vh_socket = static_cast<int>(ctx.arg_i64(13));
+        cfg.vh_socket = static_cast<int>(ctx.arg_i64(11));
     }
     ctx.proc().user_state() = target_cfg(cfg);
     return 0;

@@ -19,9 +19,7 @@ namespace {
 
 backend_metrics::backend_metrics(const char* backend_name, node_t node,
                                  const char* poll_trace_name)
-    : poll_trace_name_(poll_trace_name),
-      poll_bridge_(
-          &aurora::metrics::trace_bridge_counter("backend", poll_trace_name)) {
+    : poll_trace_name_(poll_trace_name) {
     namespace m = aurora::metrics;
     auto& reg = m::registry::global();
     const std::string lbl = m::labels(
@@ -56,7 +54,7 @@ backend_metrics::send_timer::~send_timer() {
 void backend_metrics::count_polls(std::uint64_t n) noexcept {
     polls_->add(n);
 #if !defined(HAM_AURORA_TRACE_DISABLED)
-    aurora::trace::count(*poll_bridge_, "backend", poll_trace_name_, n);
+    aurora::trace::count("backend", poll_trace_name_, n);
 #endif
 }
 

@@ -16,6 +16,10 @@
 #include "offload/types.hpp"
 #include "sim/engine.hpp"
 
+namespace aurora::obs {
+class flight_ring;
+}
+
 namespace ham::offload {
 
 /// Outcome of a send-side transport operation (aurora::fault hardening): the
@@ -34,12 +38,12 @@ enum class io_status : std::uint8_t {
 class backend_metrics {
 public:
     /// `poll_trace_name`: the backend's trace counter of result probes
-    /// (category "backend"), e.g. "vedma_poll".
+    /// (category "backend"), e.g. "vedma_poll"; a string literal.
     backend_metrics(const char* backend_name, node_t node,
                     const char* poll_trace_name);
 
-    /// Count `n` result probes: aurora_backend_polls_total and one event of
-    /// the backend's poll trace counter.
+    /// Count `n` result probes: aurora_backend_polls_total and, when tracing
+    /// is on, one event of the backend's poll trace counter.
     void count_polls(std::uint64_t n) noexcept;
 
     /// Times one send_message call and counts its payload bytes.
@@ -82,7 +86,6 @@ private:
     aurora::metrics::counter* bytes_out_;
     aurora::metrics::counter* bytes_in_;
     const char* poll_trace_name_;
-    aurora::metrics::counter* poll_bridge_; ///< the trace counter's registry twin
 };
 
 

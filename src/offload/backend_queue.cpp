@@ -135,7 +135,8 @@ backend_queue::kind_profile backend_queue::profile_for(backend_kind kind,
 backend_queue::backend_queue(sim::simulation& sim,
                              const ham::handler_registry& target_reg,
                              const sim::cost_model& costs,
-                             const runtime_options& opt, node_t node)
+                             const runtime_options& opt, node_t node,
+                             aurora::obs::flight_ring& flight)
     : sim_(sim),
       costs_(costs),
       node_(node),
@@ -145,6 +146,7 @@ backend_queue::backend_queue(sim::simulation& sim,
       shared_(std::make_shared<shared_state>(sim, opt.msg_slots)),
       send_gen_(opt.msg_slots, 0),
       target_reg_(&target_reg),
+      flight_(flight),
       met_(kind_.name, node, kind_.poll_counter) {
     spawn_target();
 }
@@ -189,9 +191,8 @@ io_status backend_queue::send_message(std::uint32_t slot, const void* msg,
                      "the " << kind_.name << " backend has no DMA data path");
     AURORA_TRACE_SPAN("backend", kind_.send_span);
     const backend_metrics::send_timer timer(met_, len);
-    aurora::obs::flight_registry::ring_for(static_cast<std::uint16_t>(node_))
-        .note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
-              epoch_, static_cast<std::uint32_t>(len));
+    flight_.note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
+                 epoch_, static_cast<std::uint32_t>(len));
     auto& inj = aurora::fault::injector::instance();
     if (inj.active()) {
         if (const auto spike = inj.delay_spike()) {

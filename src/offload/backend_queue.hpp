@@ -36,9 +36,10 @@ namespace ham::offload {
 class backend_queue final : public backend {
 public:
     /// Serves opt.backend, which must be backend_kind::loopback or ::tcp.
+    /// Notes its wire sends in `flight`, the target's black box.
     backend_queue(sim::simulation& sim, const ham::handler_registry& target_reg,
                   const sim::cost_model& costs, const runtime_options& opt,
-                  node_t node);
+                  node_t node, aurora::obs::flight_ring& flight);
 
     [[nodiscard]] std::uint32_t slot_count() const override { return slots_; }
     [[nodiscard]] io_status send_message(std::uint32_t slot, const void* msg,
@@ -129,6 +130,7 @@ private:
     std::uint8_t epoch_ = 0;
     /// Registry the target loop translates through; kept for respawn().
     const ham::handler_registry* target_reg_;
+    aurora::obs::flight_ring& flight_;
     backend_metrics met_;
 };
 

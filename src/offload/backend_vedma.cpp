@@ -35,7 +35,8 @@ constexpr int ham_staging_shm_key = 0x48414E; // "HAN"
 } // namespace
 
 backend_vedma::backend_vedma(aurora::veos::veos_system& sys, int ve_id, node_t node,
-                             const runtime_options& opt)
+                             const runtime_options& opt,
+                             aurora::obs::flight_ring& flight)
     : sys_(sys),
       ve_id_(ve_id),
       node_(node),
@@ -44,6 +45,7 @@ backend_vedma::backend_vedma(aurora::veos::veos_system& sys, int ve_id, node_t n
       shms_(sys.plat()),
       send_gen_(opt.msg_slots, 0),
       result_gen_(opt.msg_slots, 0),
+      flight_(flight),
       met_("vedma", node, "vedma_poll") {
     AURORA_CHECK_MSG(opt.msg_size % 8 == 0,
                      "vedma backend requires 8-byte aligned message sizes");
@@ -98,14 +100,12 @@ void backend_vedma::attach() {
     args->set_u64(3, layout_.recv.msg_size);
     args->set_i64(4, node_);
     args->set_u64(5, opt_.vedma_shm_small_results ? 1 : 0);
-    args->set_u64(6, opt_.vedma_shm_result_threshold);
-    args->set_i64(7, opt_.vedma_dma_data_path ? ham_staging_shm_key : 0);
-    args->set_u64(8, opt_.vedma_staging_chunk_bytes);
-    args->set_u64(9, host_image_registry().fingerprint());
-    args->set_i64(10, opt_.target_idle_timeout_ns);
-    args->set_u64(11, epoch_);
-    args->set_u64(12, supports_zero_copy() ? 1 : 0);
-    args->set_i64(13, opt_.vh_socket);
+    args->set_i64(6, opt_.vedma_dma_data_path ? ham_staging_shm_key : 0);
+    args->set_u64(7, opt_.vedma_staging_chunk_bytes);
+    args->set_u64(8, host_image_registry().fingerprint());
+    args->set_u64(9, epoch_);
+    args->set_u64(10, supports_zero_copy() ? 1 : 0);
+    args->set_i64(11, opt_.vh_socket);
     std::uint64_t ret = 0;
     const std::uint64_t req = veo_call_async(ctx_, sym_setup, args);
     AURORA_CHECK(veo_call_wait_result(ctx_, req, &ret) == VEO_COMMAND_OK);
@@ -144,9 +144,8 @@ io_status backend_vedma::send_message(std::uint32_t slot, const void* msg,
     // the message into the shared segment, then publish the flag.
     AURORA_TRACE_SPAN("backend", "vedma_send");
     const backend_metrics::send_timer timer(met_, len);
-    aurora::obs::flight_registry::ring_for(static_cast<std::uint16_t>(node_))
-        .note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
-              epoch_, static_cast<std::uint32_t>(len));
+    flight_.note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
+                 epoch_, static_cast<std::uint32_t>(len));
     auto& inj = aurora::fault::injector::instance();
     if (inj.active()) {
         if (const auto spike = inj.delay_spike()) {

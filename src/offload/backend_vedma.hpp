@@ -25,8 +25,9 @@ namespace ham::offload {
 
 class backend_vedma final : public backend {
 public:
+    /// Notes its wire sends in `flight`, the target's black box.
     backend_vedma(aurora::veos::veos_system& sys, int ve_id, node_t node,
-                  const runtime_options& opt);
+                  const runtime_options& opt, aurora::obs::flight_ring& flight);
     ~backend_vedma() override;
 
     [[nodiscard]] std::uint32_t slot_count() const override {
@@ -105,6 +106,7 @@ private:
     /// First-transmission messages since the last attach — the VE channel's
     /// poll cursor, for the inject_stale_flag test seam (see backend_veo).
     std::uint64_t sends_since_attach_ = 0;
+    aurora::obs::flight_ring& flight_;
     backend_metrics met_;
 };
 

@@ -30,13 +30,14 @@ protocol::comm_layout make_layout(const runtime_options& opt) {
 } // namespace
 
 backend_veo::backend_veo(aurora::veos::veos_system& sys, int ve_id, node_t node,
-                         const runtime_options& opt)
+                         const runtime_options& opt,
+                         aurora::obs::flight_ring& flight)
     : sys_(sys),
       ve_id_(ve_id),
       node_(node),
       layout_(make_layout(opt)),
       vh_socket_(opt.vh_socket),
-      idle_timeout_ns_(opt.target_idle_timeout_ns),
+      flight_(flight),
       send_gen_(opt.msg_slots, 0),
       result_gen_(opt.msg_slots, 0),
       met_("veo", node, "veo_poll") {
@@ -76,8 +77,7 @@ void backend_veo::attach() {
     args->set_u64(2, layout_.recv.msg_size);
     args->set_i64(3, node_);
     args->set_u64(4, host_image_registry().fingerprint());
-    args->set_i64(5, idle_timeout_ns_);
-    args->set_u64(6, epoch_);
+    args->set_u64(5, epoch_);
     std::uint64_t ret = 0;
     const std::uint64_t req = veo_call_async(ctx_, sym_setup, args);
     AURORA_CHECK(veo_call_wait_result(ctx_, req, &ret) == VEO_COMMAND_OK);
@@ -115,9 +115,8 @@ io_status backend_veo::send_message(std::uint32_t slot, const void* msg,
         ++sends_since_attach_;
     }
     const backend_metrics::send_timer timer(met_, len);
-    aurora::obs::flight_registry::ring_for(static_cast<std::uint16_t>(node_))
-        .note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
-              epoch_, static_cast<std::uint32_t>(len));
+    flight_.note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
+                 epoch_, static_cast<std::uint32_t>(len));
     auto& inj = aurora::fault::injector::instance();
     if (inj.active()) {
         if (const auto spike = inj.delay_spike()) {

@@ -53,7 +53,6 @@ struct runtime_options {
     /// results via SHM stores instead of user DMA (Sec. V-B observes SHM
     /// beats DMA for small VE->VH payloads and says it "could be exploited").
     bool vedma_shm_small_results = false;
-    std::uint32_t vedma_shm_result_threshold = 256;
     /// Optional extension beyond the paper: route put()/get() through the VE
     /// user-DMA engine with pipelined staging instead of VEO read/write
     /// (the direction the paper's conclusion sketches for future VEO).
@@ -66,56 +65,37 @@ struct runtime_options {
     /// of one veo_alloc_mem per buffer. Regions are registration-stable, which
     /// is what makes the zero-copy path below cacheable.
     bool mem_arena = true;
-    /// First backing region size; regions double up to the cap below.
-    std::uint64_t mem_arena_initial_bytes = 1ull << 20; // 1 MiB
-    /// Region growth cap; larger requests get a dedicated region.
-    std::uint64_t mem_arena_max_region_bytes = 64ull << 20; // 64 MiB
     /// With the DMA data path on, move put()/get() payloads directly between
     /// the registered host buffer and the VE arena region (one message, one
     /// chained DMA burst) instead of staging chunk-by-chunk. Requires
     /// vedma_dma_data_path and mem_arena.
     bool vedma_zero_copy = true;
-    /// Transfers below this stay on the staged path: a first-touch zero-copy
-    /// transfer pays two DMAATB registrations, which only amortises on big or
-    /// repeated transfers.
-    std::uint64_t vedma_zero_copy_min_bytes = 32 * 1024;
 
     // --- resilience (aurora::fault hardening; see docs/FAULTS.md) -----------
     /// Virtual-time budget for a posted message's reply before the runtime
     /// retransmits (the window doubles per attempt). 0 disables timeouts —
     /// the default, keeping the fault-free path byte-identical to the paper
     /// protocols. When fault injection is active and this is 0, the runtime
-    /// substitutes a 1 ms virtual default. Env: HAM_AURORA_FAULT_TIMEOUT_NS.
+    /// substitutes a 1 ms virtual default.
     std::int64_t reply_timeout_ns = 0;
     /// Retransmissions per message (and retries per transient send-post
     /// failure) before the target is declared failed.
-    /// Env: HAM_AURORA_FAULT_MAX_RETRIES.
     std::uint32_t max_retries = 4;
-    /// Initial virtual backoff after a transient send-post failure; doubles
-    /// per consecutive retry of the same message.
-    std::int64_t retry_backoff_ns = 20'000;
     /// Clean results required for a degraded target to count as healthy again.
     std::uint32_t recovery_streak = 16;
-    /// VE-side poll deadline (VEO/VEDMA protocols): a target whose receive
-    /// poll sees no message for this long presumes the host is gone and exits
-    /// its loop. 0 = poll forever (default; queue backends always block).
-    std::int64_t target_idle_timeout_ns = 0;
 
     // --- overload robustness (aurora::admit; see docs/ADMISSION.md) ---------
     /// Per-target retry token bucket: caps how many retransmits/send-retries
     /// a target can burn in a burst, so a stalled VE cannot trigger a
     /// retransmit storm that amplifies overload. 0 = unlimited (default,
     /// keeping the established fault-layer behaviour byte-identical).
-    /// Env: HAM_AURORA_RETRY_BUDGET.
     std::uint32_t retry_budget = 0;
     /// Virtual time to mint one retry token back into the bucket.
-    /// Env: HAM_AURORA_RETRY_BUDGET_REFILL_NS.
     std::int64_t retry_budget_refill_ns = 1'000'000;
     /// Apply decorrelated jitter to retry backoff and reply-timeout windows
     /// while fault injection is active, de-synchronising the retry herds a
     /// shared stall otherwise produces. Draws come from the injector's
     /// dedicated jitter stream, so seeded replays stay deterministic.
-    /// Env: HAM_AURORA_RETRY_JITTER (0/1).
     bool retry_jitter = true;
 
     // --- self-healing (aurora::heal; see docs/FAULTS.md) --------------------
@@ -125,16 +105,14 @@ struct runtime_options {
     /// Enabled, the runtime respawns the target process under a new epoch,
     /// replays un-acked messages, and reintegrates it on probation.
     struct recovery_policy {
-        /// Master switch. Env: HAM_AURORA_HEAL (0/1).
+        /// Master switch.
         bool enabled = false;
         /// Respawn attempts per failure incident before the target is fenced
-        /// for good. Env: HAM_AURORA_HEAL_MAX_ATTEMPTS.
+        /// for good.
         std::uint32_t max_attempts = 3;
         /// Virtual-time pause before the first re-attach attempt; doubles per
-        /// consecutive failed attempt. Env: HAM_AURORA_HEAL_BACKOFF_NS.
+        /// consecutive failed attempt, up to 10 ms.
         std::int64_t backoff_ns = 200'000;
-        /// Upper bound for the doubled backoff.
-        std::int64_t backoff_cap_ns = 10'000'000;
     };
     recovery_policy recovery;
 };

@@ -16,7 +16,6 @@
 #include "sim/pass.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 #include "veos/veos.hpp"
 
 namespace ham::offload {
@@ -54,6 +53,16 @@ struct runtime::target_arena_source final : aurora::mem::region_source {
 };
 
 namespace {
+
+/// Initial virtual backoff after a transient send-post failure; doubles per
+/// consecutive retry of the same message.
+constexpr std::int64_t send_backoff_ns = 20'000;
+/// Upper bound for recovery's doubled re-attach backoff.
+constexpr std::int64_t recovery_backoff_max_ns = 10'000'000;
+/// Transfers below this stay on the staged path: a first-touch zero-copy
+/// transfer pays two DMAATB registrations, which only amortises on big or
+/// repeated transfers.
+constexpr std::uint64_t zero_copy_min_bytes = 32 * 1024;
 
 std::string failed_what(node_t node, const std::string& reason) {
     std::string what = "offload target node " + std::to_string(node) + " failed";
@@ -133,6 +142,17 @@ void runtime::bind_instruments(target_state& t, node_t node) {
     t.met.base.replayed = t.met.replayed->value();
 }
 
+void runtime::note_stage(target_state& t, node_t node, aurora::obs::stage s,
+                         std::uint64_t ticket, std::uint32_t slot,
+                         std::uint32_t info, sim::time_ns at) {
+    const auto slot16 = static_cast<std::uint16_t>(slot);
+    t.flight->note(s, ticket, slot16, t.epoch, info);
+    if (aurora::obs::enabled()) {
+        aurora::obs::emit(s, gid(node), ticket, slot16, t.epoch,
+                          static_cast<std::uint64_t>(at));
+    }
+}
+
 void runtime::set_health(target_state& t, target_health h) {
     t.health = h;
     ++health_version_;
@@ -172,39 +192,11 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
     costs_ = sys_ != nullptr ? sys_->plat().costs() : sim::cost_model{};
 
     auto& inj = aurora::fault::injector::instance();
-    if (const auto v = aurora::env_int("HAM_AURORA_FAULT_TIMEOUT_NS")) {
-        opt_.reply_timeout_ns = *v;
-    }
-    if (const auto v = aurora::env_int("HAM_AURORA_FAULT_MAX_RETRIES")) {
-        opt_.max_retries = static_cast<std::uint32_t>(std::max<std::int64_t>(*v, 0));
-    }
     if (inj.active() && opt_.reply_timeout_ns == 0) {
         // Injection without timeouts would hang on the first dropped message.
         opt_.reply_timeout_ns = 1'000'000;
     }
-    if (const auto v = aurora::env_int("HAM_AURORA_HEAL")) {
-        opt_.recovery.enabled = *v != 0;
-    }
-    if (const auto v = aurora::env_int("HAM_AURORA_HEAL_MAX_ATTEMPTS")) {
-        opt_.recovery.max_attempts =
-            static_cast<std::uint32_t>(std::max<std::int64_t>(*v, 0));
-    }
-    if (const auto v = aurora::env_int("HAM_AURORA_HEAL_BACKOFF_NS")) {
-        opt_.recovery.backoff_ns = std::max<std::int64_t>(*v, 1);
-    }
-    if (const auto v = aurora::env_int("HAM_AURORA_RETRY_BUDGET")) {
-        opt_.retry_budget =
-            static_cast<std::uint32_t>(std::max<std::int64_t>(*v, 0));
-    }
-    if (const auto v = aurora::env_int("HAM_AURORA_RETRY_BUDGET_REFILL_NS")) {
-        opt_.retry_budget_refill_ns = *v;
-    }
-    if (const auto v = aurora::env_int("HAM_AURORA_RETRY_JITTER")) {
-        opt_.retry_jitter = *v != 0;
-    }
-    // The backoff seeds a doubling and the refill period is a divisor: keep
-    // both positive.
-    opt_.retry_backoff_ns = std::max<std::int64_t>(opt_.retry_backoff_ns, 1);
+    // The refill period is a divisor: keep it positive.
     opt_.retry_budget_refill_ns =
         std::max<std::int64_t>(opt_.retry_budget_refill_ns, 1);
     // Recovery needs the pending-wire copies to replay, so it implies the
@@ -218,6 +210,11 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
         // metric labels all see the cluster-unique id (aurora::net tenants
         // set node_base; the single-machine default keeps gid == node).
         const node_t gid = static_cast<node_t>(opt_.node_base) + node;
+        // Black box: shared across incarnations and runtimes via the
+        // process-wide registry, so a postmortem survives our teardown.
+        aurora::obs::flight_ring& flight =
+            aurora::obs::flight_registry::ring_for(std::uint16_t(gid));
+        state->flight = &flight;
         try {
             if (inj.take_attach_failure(int(gid))) {
                 throw target_attach_error("injected attach failure on node " +
@@ -227,15 +224,16 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
                 case backend_kind::loopback:
                 case backend_kind::tcp:
                     state->be = std::make_unique<backend_queue>(
-                        sim_, queue_target_image_registry(), costs_, opt_, gid);
+                        sim_, queue_target_image_registry(), costs_, opt_, gid,
+                        flight);
                     break;
                 case backend_kind::veo:
-                    state->be =
-                        std::make_unique<backend_veo>(*sys_, target, gid, opt_);
+                    state->be = std::make_unique<backend_veo>(
+                        *sys_, target, gid, opt_, flight);
                     break;
                 case backend_kind::vedma:
-                    state->be =
-                        std::make_unique<backend_vedma>(*sys_, target, gid, opt_);
+                    state->be = std::make_unique<backend_vedma>(
+                        *sys_, target, gid, opt_, flight);
                     break;
             }
             state->slot_ticket.assign(state->be->slot_count(), 0);
@@ -251,10 +249,6 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
         state->slot_posted_ns.assign(state->slot_ticket.size(), 0);
         state->retry_tokens = opt_.retry_budget;
         state->retry_refill_at = sim::now();
-        // Black box: shared across incarnations and runtimes via the
-        // process-wide registry, so a postmortem survives our teardown.
-        state->flight =
-            &aurora::obs::flight_registry::ring_for(std::uint16_t(gid));
         bind_instruments(*state, gid);
         set_health(*state, state->health);
         targets_.push_back(std::move(state));
@@ -429,12 +423,7 @@ void runtime::fail_target(node_t node, const std::string& why) {
             continue;
         }
         settle_failed(t, ticket, why);
-        if (t.flight != nullptr) {
-            t.flight->note(aurora::obs::stage::failed, ticket,
-                           static_cast<std::uint16_t>(s), t.epoch);
-        }
-        aurora::obs::emit_now(aurora::obs::stage::failed, gid(node), ticket,
-                              static_cast<std::uint16_t>(s), t.epoch);
+        note_stage(t, node, aurora::obs::stage::failed, ticket, s, 0, sim::now());
         t.slot_ticket[s] = 0;
         t.slot_sent_ns[s] = 0; // synthetic settlements are not round-trips
         t.slot_posted_ns[s] = 0;
@@ -442,11 +431,8 @@ void runtime::fail_target(node_t node, const std::string& why) {
     }
     for (const replay_entry& e : t.replay) {
         settle_failed(t, e.ticket, why);
-        if (t.flight != nullptr) {
-            t.flight->note(aurora::obs::stage::failed, e.ticket, 0, t.epoch);
-        }
-        aurora::obs::emit_now(aurora::obs::stage::failed, gid(node), e.ticket,
-                              0, t.epoch);
+        note_stage(t, node, aurora::obs::stage::failed, e.ticket, 0, 0,
+                   sim::now());
     }
     t.replay.clear();
     t.pending.clear();
@@ -468,7 +454,7 @@ void runtime::on_failure(target_state& t, node_t node, const std::string& why) {
 std::int64_t runtime::recovery_backoff(std::uint32_t attempts) const {
     const std::int64_t base = std::max<std::int64_t>(opt_.recovery.backoff_ns, 1);
     const std::int64_t grown = base << std::min<std::uint32_t>(attempts, 6);
-    return std::min(grown, std::max(opt_.recovery.backoff_cap_ns, base));
+    return std::min(grown, std::max(recovery_backoff_max_ns, base));
 }
 
 void runtime::begin_recovery(target_state& t, node_t node,
@@ -521,12 +507,8 @@ void runtime::begin_recovery(target_state& t, node_t node,
                 {ticket, std::move(it->second.wire), it->second.kind});
         } else {
             settle_failed(t, ticket, why);
-            if (t.flight != nullptr) {
-                t.flight->note(aurora::obs::stage::failed, ticket,
-                               static_cast<std::uint16_t>(s), t.epoch);
-            }
-            aurora::obs::emit_now(aurora::obs::stage::failed, gid(node), ticket,
-                                  static_cast<std::uint16_t>(s), t.epoch);
+            note_stage(t, node, aurora::obs::stage::failed, ticket, s, 0,
+                       sim::now());
         }
         t.slot_ticket[s] = 0;
         t.slot_sent_ns[s] = 0;
@@ -599,19 +581,12 @@ bool runtime::maybe_recover(target_state& t, node_t node) {
         t.slot_ticket[slot] = e.ticket;
         t.slot_sent_ns[slot] = sim::now();
         t.slot_posted_ns[slot] = sim::now();
-        if (t.flight != nullptr) {
-            t.flight->note(aurora::obs::stage::post, e.ticket,
-                           static_cast<std::uint16_t>(slot), epoch,
-                           static_cast<std::uint32_t>(e.wire.size()));
-        }
-        if (aurora::obs::enabled()) {
-            // A replayed post: same ticket, fresh incarnation. The repost and
-            // the wire send collapse into one instant here.
-            aurora::obs::emit_now(aurora::obs::stage::post, gid(node), e.ticket,
-                                  static_cast<std::uint16_t>(slot), epoch);
-            aurora::obs::emit_now(aurora::obs::stage::sent, gid(node), e.ticket,
-                                  static_cast<std::uint16_t>(slot), epoch);
-        }
+        // A replayed post: same ticket, fresh incarnation. The repost and the
+        // wire send collapse into one instant here.
+        note_stage(t, node, aurora::obs::stage::post, e.ticket, slot,
+                   static_cast<std::uint32_t>(e.wire.size()), sim::now());
+        aurora::obs::emit_now(aurora::obs::stage::sent, gid(node), e.ticket,
+                              static_cast<std::uint16_t>(slot), epoch);
         t.met.inflight->add(1);
         pending_send p;
         p.kind = e.kind;
@@ -747,14 +722,8 @@ bool runtime::absorb_result(target_state& t, std::uint32_t slot, node_t node,
             rtt > 0 ? static_cast<std::uint64_t>(rtt) : 0);
         t.slot_sent_ns[slot] = 0;
     }
-    if (t.flight != nullptr) {
-        t.flight->note(aurora::obs::stage::harvest, t.slot_ticket[slot],
-                       static_cast<std::uint16_t>(slot), t.epoch,
-                       static_cast<std::uint32_t>(bytes.size()));
-    }
-    aurora::obs::emit_now(aurora::obs::stage::harvest, gid(node),
-                          t.slot_ticket[slot], static_cast<std::uint16_t>(slot),
-                          t.epoch);
+    note_stage(t, node, aurora::obs::stage::harvest, t.slot_ticket[slot], slot,
+               static_cast<std::uint32_t>(bytes.size()), sim::now());
     t.slot_posted_ns[slot] = 0;
     t.arrived.emplace(t.slot_ticket[slot], std::move(bytes));
     t.slot_ticket[slot] = 0;
@@ -795,7 +764,7 @@ io_status runtime::attempt_send(target_state& t, node_t node, std::uint32_t slot
                                 protocol::msg_kind kind, bool retransmit) {
     ensure_sendable(t, node);
     auto& inj = aurora::fault::injector::instance();
-    std::int64_t backoff = opt_.retry_backoff_ns;
+    std::int64_t backoff = send_backoff_ns;
     for (std::uint32_t attempt = 0;; ++attempt) {
         io_status st;
         {
@@ -829,8 +798,8 @@ io_status runtime::attempt_send(target_state& t, node_t node, std::uint32_t slot
         // stall; plain doubling is kept when injection is off so the
         // established deterministic schedules stay byte-identical.
         backoff = inj.active() && opt_.retry_jitter
-                      ? inj.jitter_backoff(opt_.retry_backoff_ns, backoff,
-                                           opt_.retry_backoff_ns << 6)
+                      ? inj.jitter_backoff(send_backoff_ns, backoff,
+                                           send_backoff_ns << 6)
                       : backoff * 2;
     }
 }
@@ -879,20 +848,10 @@ std::uint64_t runtime::post_on_slot(target_state& t, node_t node,
     t.slot_sent_ns[slot] = sim::now();
     t.slot_posted_ns[slot] = posted_at;
     t.met.inflight->add(1);
-    if (t.flight != nullptr) {
-        t.flight->note(aurora::obs::stage::post, ticket,
-                       static_cast<std::uint16_t>(slot), t.epoch,
-                       static_cast<std::uint32_t>(wire_len));
-    }
-    if (aurora::obs::enabled()) {
-        const std::uint16_t g = gid(node);
-        aurora::obs::emit(aurora::obs::stage::post, g, ticket,
-                          static_cast<std::uint16_t>(slot), t.epoch,
-                          static_cast<std::uint64_t>(posted_at));
-        aurora::obs::emit(aurora::obs::stage::sent, g, ticket,
-                          static_cast<std::uint16_t>(slot), t.epoch,
-                          static_cast<std::uint64_t>(sim::now()));
-    }
+    note_stage(t, node, aurora::obs::stage::post, ticket, slot,
+               static_cast<std::uint32_t>(wire_len), posted_at);
+    aurora::obs::emit_now(aurora::obs::stage::sent, gid(node), ticket,
+                          static_cast<std::uint16_t>(slot), t.epoch);
     if (resilient_) {
         pending_send p;
         p.wire.assign(wire, wire + wire_len);
@@ -1240,8 +1199,6 @@ void runtime::ensure_arena(target_state& t, node_t node) {
     }
     t.arena_src = std::make_unique<target_arena_source>(t);
     aurora::mem::arena_options ao;
-    ao.initial_region_bytes = opt_.mem_arena_initial_bytes;
-    ao.max_region_bytes = opt_.mem_arena_max_region_bytes;
     ao.label = "node" + std::to_string(opt_.node_base + int(node));
     t.arena = std::make_unique<aurora::mem::arena>(*t.arena_src, ao);
 }
@@ -1337,7 +1294,7 @@ bool runtime::zero_copy_transfer(target_state& t, node_t node, void* host_buf,
                                  std::uint64_t target_addr, std::uint64_t len,
                                  bool is_put) {
     if (!t.be->supports_zero_copy() || t.arena == nullptr ||
-        len < opt_.vedma_zero_copy_min_bytes) {
+        len < zero_copy_min_bytes) {
         return false;
     }
     // The VE-side DMA engine moves 8-byte-aligned ranges; an unaligned host

@@ -28,6 +28,7 @@ class veos_system;
 
 namespace aurora::obs {
 class flight_ring;
+enum class stage : std::uint8_t;
 }
 
 namespace ham::offload {
@@ -265,7 +266,8 @@ private:
         target_statistics stats; ///< refreshed from the registry on read
         target_instruments met;
         /// aurora::obs black box for this target (process-wide registry ring,
-        /// keyed on the global node id; survives runtime teardown).
+        /// keyed on the global node id; survives runtime teardown). Set by
+        /// the constructor, before the backend that records into it.
         aurora::obs::flight_ring* flight = nullptr;
         /// Post (slot-bind) timestamp per slot, for request-stage attribution
         /// (slot_sent_ns is taken *after* the wire send; obs needs the edge
@@ -370,6 +372,11 @@ private:
     [[nodiscard]] std::uint16_t gid(node_t node) const noexcept {
         return static_cast<std::uint16_t>(opt_.node_base + int(node));
     }
+    /// One request touchpoint of `t`: into its flight ring and, when request
+    /// tracing is on, as a lifecycle event stamped `at`.
+    void note_stage(target_state& t, node_t node, aurora::obs::stage s,
+                    std::uint64_t ticket, std::uint32_t slot, std::uint32_t info,
+                    sim::time_ns at);
     /// Transition `t.health` and mirror it into the health gauge.
     void set_health(target_state& t, target_health h);
     /// Reset `t`'s probation streak (health_version() moves with it).

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "metrics/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/context_local.hpp"
 #include "util/env.hpp"
@@ -109,10 +108,6 @@ void emit(const event& e) {
         return;
     }
     collector::instance().current_lane().buf.push(e);
-}
-
-void count(const char* cat, const char* name, std::uint64_t delta) {
-    count(metrics::trace_bridge_counter(cat, name), cat, name, delta);
 }
 
 void emit_span(const char* cat, const char* name, std::uint64_t ts_ns,

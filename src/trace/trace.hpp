@@ -9,10 +9,8 @@
 //
 // Cost discipline:
 //   * disabled (HAM_AURORA_TRACE unset): every macro is one relaxed atomic
-//     load plus a predictable branch (a counter adds one single-writer
-//     metrics update through a bridge counter it resolved once per call
-//     site) — bench_trace_overhead pins this at well under 1% of the
-//     cheapest offload hot path;
+//     load plus a predictable branch — bench_trace_overhead pins this at
+//     well under 1% of the cheapest offload hot path;
 //   * enabled: one clock read and one ring-buffer store per event, still
 //     lock-free and allocation-free on the hot path;
 //   * compiled out (-DHAM_AURORA_TRACE_DISABLED): the macros vanish.
@@ -28,8 +26,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "metrics/metrics.hpp"
 
 namespace aurora::trace {
 
@@ -179,18 +175,11 @@ void emit(const event& e);
 void emit_span(const char* cat, const char* name, std::uint64_t ts_ns,
                std::uint64_t dur_ns);
 
-/// Record a counter delta. Always feeds the aurora::metrics registry
-/// (aurora_trace_counter_total{cat=,name=}); additionally records a trace
-/// event when tracing is enabled. `cat`/`name` must be string literals —
-/// the metrics bridge keys its lock-free cache on their pointer identity.
-void count(const char* cat, const char* name, std::uint64_t delta = 1);
-
-/// count() through a bridge counter the caller resolved already
-/// (AURORA_TRACE_COUNTER resolves it once per call site).
-[[gnu::always_inline]] inline void count(metrics::counter& bridged,
-                                         const char* cat, const char* name,
-                                         std::uint64_t delta) {
-    bridged.add(delta);
+/// Record a counter delta (summed per cat/name by the summary exporter).
+/// Trace-only: a count the registry should hold goes there under its own
+/// family, at the call site.
+[[gnu::always_inline]] inline void count(const char* cat, const char* name,
+                                         std::uint64_t delta = 1) {
     if (enabled()) {
         emit({cat, name, clock_ns(), 0, delta, 0, event_type::counter});
     }
@@ -250,10 +239,6 @@ void flush_to_env();
     const ::aurora::trace::scoped_span AURORA_TRACE_DETAIL_CAT(                \
         aurora_trace_span_, __LINE__)(cat, name)
 #define AURORA_TRACE_COUNTER(cat, name, delta)                                 \
-    do {                                                                       \
-        static ::aurora::metrics::counter& aurora_trace_bridged_ =             \
-            ::aurora::metrics::trace_bridge_counter(cat, name);                \
-        ::aurora::trace::count(aurora_trace_bridged_, cat, name, delta);       \
-    } while (false)
+    ::aurora::trace::count(cat, name, delta)
 #define AURORA_TRACE_INSTANT(cat, name) ::aurora::trace::instant(cat, name)
 #endif

@@ -447,6 +447,50 @@ TEST(AdmitServer, BreakerTripsShedsProbesAndRecloses) {
     });
 }
 
+TEST(AdmitServer, HalfOpenBreakerTakesOnlyItsProbesVerdict) {
+    run_sched(2, [] {
+        server::config cfg = small_cfg(16, 8);
+        cfg.breaker.failure_threshold = 3;
+        cfg.breaker.probe_successes = 1;
+        cfg.breaker.cooldown_ns = 10'000;
+        server srv(cfg);
+        session_options o;
+        o.cls = qos_class::latency;
+        const session_id sid = srv.open(o);
+        request_options pin1;
+        pin1.affinity = 1;
+        pin1.pinned = true;
+        for (int i = 0; i < 3; ++i) {
+            srv.submit(sid, ham::f2f<&tk::boom>(), pin1).wait();
+        }
+        sim::advance(10'000);
+        ASSERT_EQ(srv.breaker_of(1), breaker_state::half_open);
+
+        // Unpinned work runs on node 1 too, but no probe was admitted: its
+        // successes say nothing about the probe and must not close it.
+        const auto ran_on_1 = [&] {
+            return srv.scheduler().stats().per_target[0].tasks_executed;
+        };
+        const std::uint64_t ran_before = ran_on_1();
+        std::uint64_t counter = 0;
+        std::vector<request> unpinned;
+        for (int i = 0; i < 8; ++i) {
+            unpinned.push_back(srv.submit(sid, ham::f2f<&tk::bump>(&counter)));
+        }
+        for (request& r : unpinned) {
+            r.get();
+        }
+        EXPECT_GT(ran_on_1() - ran_before, 3u);
+        EXPECT_EQ(srv.breaker_of(1), breaker_state::half_open);
+
+        // The probe's own success closes it.
+        request probe = srv.submit(sid, ham::f2f<&tk::bump>(&counter), pin1);
+        probe.get();
+        EXPECT_EQ(srv.breaker_of(1), breaker_state::closed);
+        EXPECT_EQ(counter, 9u);
+    });
+}
+
 TEST(AdmitServer, ClosingSessionWithQueuedProbeUnwedgesBreaker) {
     run_sched(2, [] {
         server::config cfg = small_cfg(64, 1);

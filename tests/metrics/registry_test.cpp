@@ -1,5 +1,5 @@
-// aurora::metrics::registry — instrument identity, label handling, the
-// trace-counter bridge, and concurrent update integrity.
+// aurora::metrics::registry — instrument identity, label handling,
+// concurrent update integrity, and trace counters staying out of it.
 #include "metrics/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "trace/summary.hpp"
 #include "trace/trace.hpp"
 
 namespace aurora::metrics {
@@ -108,29 +109,48 @@ TEST(Registry, ConcurrentFindOrCreateAndUpdate) {
     }
 }
 
-TEST(TraceBridge, CounterSitesFeedTheRegistry) {
-    // AURORA_TRACE_COUNTER sites always feed aurora_trace_counter_total,
-    // whether or not tracing is enabled. Deltas (not absolutes): the global
-    // registry accumulates across tests in this binary.
-    counter& c = trace_bridge_counter("bridge_test", "events");
-    const std::uint64_t before = c.value();
-    trace::count("bridge_test", "events", 3);
-    trace::count("bridge_test", "events");
-    EXPECT_EQ(c.value(), before + 4);
+TEST(TraceCounter, LeavesEveryRegistryFamilyUnchanged) {
+    // Trace counters are trace-only: fired with tracing off or on, they add
+    // no family, series or value to the registry. A count the registry holds
+    // is added once, under its own family, at the call site.
+    const bool was_enabled = trace::enabled();
+    trace::collector::instance().reset();
+    const std::vector<registry::family_snapshot> before =
+        registry::global().snapshot();
+    trace::set_enabled(false);
+    AURORA_TRACE_COUNTER("registry_test", "untraced", 3);
+    trace::set_enabled(true);
+    AURORA_TRACE_COUNTER("registry_test", "traced", 4);
+    trace::set_enabled(was_enabled);
+    const std::vector<registry::family_snapshot> after =
+        registry::global().snapshot();
 
-    const counter* found = registry::global().find_counter(
-        "aurora_trace_counter_total",
-        "cat=\"bridge_test\",name=\"events\"");
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found, &c);
-}
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t f = 0; f < before.size(); ++f) {
+        EXPECT_EQ(after[f].name, before[f].name);
+        ASSERT_EQ(after[f].series.size(), before[f].series.size())
+            << before[f].name;
+        for (std::size_t i = 0; i < before[f].series.size(); ++i) {
+            EXPECT_EQ(after[f].series[i].labels, before[f].series[i].labels);
+            EXPECT_EQ(after[f].series[i].value, before[f].series[i].value)
+                << before[f].name << "{" << before[f].series[i].labels << "}";
+            EXPECT_EQ(after[f].series[i].hist.count,
+                      before[f].series[i].hist.count);
+        }
+    }
 
-TEST(TraceBridge, DistinctSitesGetDistinctSeries) {
-    counter& a = trace_bridge_counter("bridge_test", "a");
-    counter& b = trace_bridge_counter("bridge_test", "b");
-    EXPECT_NE(&a, &b);
-    // Pointer-identity cache: the same literals resolve to the same counter.
-    EXPECT_EQ(&trace_bridge_counter("bridge_test", "a"), &a);
+    // The traced firing is still a trace counter; the untraced one left
+    // nothing.
+    const trace::summary s = trace::summarize();
+    std::uint64_t traced = 0;
+    for (const trace::counter_summary& c : s.counters) {
+        EXPECT_NE(c.key, "registry_test/untraced");
+        if (c.key == "registry_test/traced") {
+            traced = c.total;
+        }
+    }
+    EXPECT_EQ(traced, 4u);
+    trace::collector::instance().reset();
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -347,6 +348,26 @@ TEST_F(Cluster, TerminalRemoteFailureSettlesFutures) {
         EXPECT_EQ(c.status(1).health, target_health::degraded);
         EXPECT_EQ(c.status(1).ves_failed, 1);
     }, 600'000'000'000);
+}
+
+TEST_F(Cluster, AbortWithAClusterAliveReportsTheFailure) {
+    // Another simulated process throws while a cluster is alive: the
+    // simulation aborts, the host process unwinds through the cluster's
+    // destructor, and the run reports the failure instead of terminating.
+    cluster_options copt;
+    copt.nodes = 2;
+    copt.ves_per_node = 1;
+    sim::platform plat(sim::platform_config::test_machine());
+    EXPECT_THROW(run(plat, origin_options(1),
+                     [&] {
+                         cluster c(plat, copt);
+                         plat.sim().spawn("failing", [] {
+                             sim::advance(1'000);
+                             throw std::runtime_error("process failed");
+                         });
+                         sim::advance(1'000'000);
+                     }),
+                 std::runtime_error);
 }
 
 TEST_F(Cluster, NodeStatusRollup) {
