@@ -44,19 +44,6 @@ void mem_registry::remove(reg_cache* c) {
     erase_ptr(caches_, c);
 }
 
-void mem_registry::add(staging_pool* p) {
-    if (p->label().empty()) {
-        return;
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    pools_.push_back(p);
-}
-
-void mem_registry::remove(staging_pool* p) {
-    std::lock_guard<std::mutex> lk(mu_);
-    erase_ptr(pools_, p);
-}
-
 mem_registry::snapshot mem_registry::snap() const {
     std::lock_guard<std::mutex> lk(mu_);
     snapshot s;
@@ -65,9 +52,6 @@ mem_registry::snapshot mem_registry::snap() const {
     }
     for (reg_cache* c : caches_) {
         s.caches.push_back({c->label(), c->stats()});
-    }
-    for (staging_pool* p : pools_) {
-        s.pools.push_back({p->label(), p->stats()});
     }
     return s;
 }

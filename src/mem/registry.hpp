@@ -1,5 +1,5 @@
-// aurora::mem — process-wide registry of live arenas, registration caches
-// and staging pools, so tools (aurora_info --mem) can dump a coherent memory
+// aurora::mem — process-wide registry of live arenas and registration
+// caches, so tools (aurora_info --mem) can dump a coherent memory
 // picture without threading references through every layer. Objects with a
 // non-empty label self-register on construction and deregister on
 // destruction; snapshots copy stats under the registry lock.
@@ -11,7 +11,6 @@
 
 #include "mem/arena.hpp"
 #include "mem/reg_cache.hpp"
-#include "mem/staging_pool.hpp"
 
 namespace aurora::mem {
 
@@ -26,13 +25,8 @@ public:
             std::string label;
             reg_cache_stats stats;
         };
-        struct pool_entry {
-            std::string label;
-            staging_pool_stats stats;
-        };
         std::vector<arena_entry> arenas;
         std::vector<cache_entry> caches;
-        std::vector<pool_entry> pools;
     };
 
     [[nodiscard]] static mem_registry& global();
@@ -41,8 +35,6 @@ public:
     void remove(arena* a);
     void add(reg_cache* c);
     void remove(reg_cache* c);
-    void add(staging_pool* p);
-    void remove(staging_pool* p);
 
     [[nodiscard]] snapshot snap() const;
 
@@ -50,7 +42,6 @@ private:
     mutable std::mutex mu_;
     std::vector<arena*> arenas_;
     std::vector<reg_cache*> caches_;
-    std::vector<staging_pool*> pools_;
 };
 
 } // namespace aurora::mem

@@ -7,60 +7,45 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/timeline.hpp"
 #include "util/env.hpp"
 
 namespace aurora::obs {
 
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t pack_meta(stage s, std::uint16_t slot,
-                                                std::uint8_t epoch,
-                                                std::uint32_t info) noexcept {
-    return std::uint64_t{std::uint8_t(s)} | (std::uint64_t{slot} << 8) |
-           (std::uint64_t{epoch} << 24) | (std::uint64_t{info} << 32);
-}
-
-} // namespace
-
-void flight_ring::note(stage s, std::uint64_t ticket, std::uint16_t slot,
-                       std::uint8_t epoch, std::uint32_t info) noexcept {
+void flight_ring::note(const trace::event& e) noexcept {
     const std::uint64_t h = head_.fetch_add(1, std::memory_order_relaxed);
-    entry& e = slots_[h % slots_.size()];
+    entry& en = slots_[h % slots_.size()];
     // Seqlock write: invalidate, fill, publish. A reader sandwiching its
     // payload loads between two acquire loads of `seq` can never use a torn
     // record — any concurrent writer changes seq.
-    e.seq.store(0, std::memory_order_release);
-    e.ts.store(trace::clock_ns(), std::memory_order_relaxed);
-    e.ticket.store(ticket, std::memory_order_relaxed);
-    e.meta.store(pack_meta(s, slot, epoch, info), std::memory_order_relaxed);
-    e.seq.store(h + 1, std::memory_order_release);
+    en.seq.store(0, std::memory_order_release);
+    en.ts.store(e.ts_ns, std::memory_order_relaxed);
+    en.ticket.store(e.value, std::memory_order_relaxed);
+    en.ref.store(e.ref, std::memory_order_relaxed);
+    en.seq.store(h + 1, std::memory_order_release);
 }
 
-std::vector<flight_ring::record> flight_ring::snapshot() const {
-    std::vector<record> out;
-    out.reserve(slots_.size());
-    for (const entry& e : slots_) {
-        const std::uint64_t seq1 = e.seq.load(std::memory_order_acquire);
-        if (seq1 == 0) {
-            continue; // unwritten or mid-write
+std::vector<trace::event> flight_ring::snapshot() const {
+    const std::uint64_t h = pushed();
+    const std::uint64_t n = std::min<std::uint64_t>(h, slots_.size());
+    std::vector<trace::event> out;
+    out.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = h - n; i < h; ++i) {
+        // Entry i % capacity holds note i (seq i + 1) unless a writer is
+        // mid-update on it or has lapped it since `h` was read.
+        const entry& en = slots_[i % slots_.size()];
+        if (en.seq.load(std::memory_order_acquire) != i + 1) {
+            continue;
         }
-        record r;
-        r.ts_ns = e.ts.load(std::memory_order_relaxed);
-        r.ticket = e.ticket.load(std::memory_order_relaxed);
-        const std::uint64_t meta = e.meta.load(std::memory_order_relaxed);
-        const std::uint64_t seq2 = e.seq.load(std::memory_order_acquire);
-        if (seq1 != seq2) {
+        const std::uint64_t ts = en.ts.load(std::memory_order_relaxed);
+        const std::uint64_t ticket = en.ticket.load(std::memory_order_relaxed);
+        const std::uint64_t ref = en.ref.load(std::memory_order_relaxed);
+        if (en.seq.load(std::memory_order_acquire) != i + 1) {
             continue; // torn by a concurrent wrap-around
         }
-        r.seq = seq1;
-        r.st = static_cast<stage>(meta & 0xff);
-        r.slot = static_cast<std::uint16_t>((meta >> 8) & 0xffff);
-        r.epoch = static_cast<std::uint8_t>((meta >> 24) & 0xff);
-        r.info = static_cast<std::uint32_t>(meta >> 32);
-        out.push_back(r);
+        out.push_back(lifecycle(ref_stage(ref), ref_node(ref), ticket,
+                                ref_slot(ref), ref_epoch(ref), ts));
     }
-    std::sort(out.begin(), out.end(),
-              [](const record& a, const record& b) { return a.seq < b.seq; });
     return out;
 }
 
@@ -144,69 +129,23 @@ std::string escaped(const std::string& in) {
     return out;
 }
 
-void append_record(std::ostringstream& os, const flight_ring::record& r) {
-    os << "{\"seq\":" << r.seq << ",\"ts_ns\":" << r.ts_ns << ",\"stage\":\""
-       << to_string(r.st) << "\",\"ticket\":" << r.ticket
-       << ",\"slot\":" << r.slot << ",\"epoch\":" << unsigned(r.epoch)
-       << ",\"info\":" << r.info << "}";
-}
-
 } // namespace
 
 std::string postmortem_json(std::uint16_t node, const char* kind,
                             std::uint8_t epoch, const std::string& reason) {
-    std::ostringstream os;
-    os << "{\"node\":" << node << ",\"kind\":\"" << escaped(kind)
-       << "\",\"epoch\":" << unsigned(epoch) << ",\"reason\":\""
-       << escaped(reason) << "\"";
-    flight_ring* ring = flight_registry::find(node);
-    if (ring == nullptr) {
-        os << ",\"recorded\":0,\"dropped\":0,\"events\":[],\"requests\":[]}\n";
-        return os.str();
+    const flight_ring* ring = flight_registry::find(node);
+    trace::collector::lane_snapshot lane;
+    lane.name = "flight";
+    if (ring != nullptr) {
+        lane.events = ring->snapshot();
+        lane.dropped = ring->dropped();
     }
-    const std::vector<flight_ring::record> events = ring->snapshot();
-    os << ",\"recorded\":" << ring->pushed()
-       << ",\"dropped\":" << ring->dropped()
-       << ",\"capacity\":" << ring->capacity() << ",\"events\":[";
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        if (i != 0) {
-            os << ",";
-        }
-        append_record(os, events[i]);
-    }
-    os << "],\"requests\":[";
-    // Partial per-request timelines: the retained events of each ticket, in
-    // order. Requests whose early events were overwritten come out partial —
-    // that is the black box telling the truth about its bounded memory.
-    std::map<std::uint64_t, std::vector<const flight_ring::record*>> by_ticket;
-    for (const flight_ring::record& r : events) {
-        if (r.ticket != 0) {
-            by_ticket[r.ticket].push_back(&r);
-        }
-    }
-    bool first = true;
-    for (const auto& [ticket, recs] : by_ticket) {
-        if (!first) {
-            os << ",";
-        }
-        first = false;
-        bool settled = false;
-        for (const flight_ring::record* r : recs) {
-            settled = settled || r->st == stage::collect ||
-                      r->st == stage::failed;
-        }
-        os << "{\"ticket\":" << ticket << ",\"settled\":"
-           << (settled ? "true" : "false") << ",\"events\":[";
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-            if (i != 0) {
-                os << ",";
-            }
-            append_record(os, *recs[i]);
-        }
-        os << "]}";
-    }
-    os << "]}\n";
-    return os.str();
+    std::ostringstream head;
+    head << "\"node\":" << node << ",\"kind\":\"" << escaped(kind)
+         << "\",\"epoch\":" << unsigned(epoch) << ",\"reason\":\""
+         << escaped(reason)
+         << "\",\"recorded\":" << (ring != nullptr ? ring->pushed() : 0);
+    return timelines_json(reassemble({lane}), head.str());
 }
 
 std::string dump_postmortem_to_env(std::uint16_t node, const char* kind,

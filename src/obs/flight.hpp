@@ -1,23 +1,28 @@
 // aurora::obs flight recorder — an always-on, bounded black box per target.
 //
 // Every offload target owns a fixed-capacity ring of its most recent request
-// events (post / sent / harvest / failed plus backend wire sends). Unlike the
-// env-gated trace lanes, the ring records unconditionally: when a target dies
-// the last seconds of its request history are available as a postmortem even
-// in production runs that never enabled tracing.
+// touchpoints. The offload runtime is the ring's only writer
+// (runtime::note_stage): post, every wire send the transport accepted
+// (first sends, retransmits, checksum-NACK resends, replays), harvest,
+// collect and failed, each with its request's ticket and its own virtual
+// time. The records are lifecycle trace::events (obs::lifecycle), the form
+// the trace lanes carry. Unlike the env-gated lanes, the ring records
+// unconditionally: when a target dies the last seconds of its request
+// history are available as a postmortem even in production runs that never
+// enabled tracing.
 //
-// Concurrency: multiple simulated processes (host runtime, gateway runtimes,
-// backends) may note events for the same target, and `aurora_info --flight`
-// style readers may snapshot while writers are live. Each entry is a seqlock
-// of four relaxed/release atomic words; a reader that observes a torn or
-// in-progress entry skips it. No locks, no allocation after construction —
-// a note() is a fetch_add plus five atomic stores.
+// Concurrency: writers on several threads may note into one ring, and
+// `aurora_info --flight` style readers may snapshot while writers are live.
+// Each entry is a seqlock of four relaxed/release atomic words; a reader
+// that observes a torn or in-progress entry skips it. No locks, no
+// allocation after construction — a note() is a fetch_add plus five atomic
+// stores.
 //
 // Lifetime: rings are owned by a process-wide registry keyed on the global
 // node id, so they survive runtime teardown (a postmortem can be inspected
 // after offload::run returned) and are shared between a target's successive
-// incarnations (epochs) — exactly what a black box is for. Writers look their
-// ring up once: the runtime hands each target's ring to its backend.
+// incarnations (epochs) — exactly what a black box is for. The runtime looks
+// each target's ring up once, at attach.
 #pragma once
 
 #include <atomic>
@@ -26,6 +31,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "trace/trace.hpp"
 
 namespace aurora::obs {
 
@@ -36,25 +42,14 @@ public:
     flight_ring(const flight_ring&) = delete;
     flight_ring& operator=(const flight_ring&) = delete;
 
-    /// Record one request event. Wait-free; safe from any thread.
-    /// `info` carries stage-specific payload (message kind, failure code,
-    /// payload length — whatever the touchpoint finds useful).
-    void note(stage s, std::uint64_t ticket, std::uint16_t slot,
-              std::uint8_t epoch, std::uint32_t info = 0) noexcept;
+    /// Record one lifecycle event (its ts_ns, ticket and ref). Wait-free;
+    /// safe from any thread.
+    void note(const trace::event& e) noexcept;
 
-    struct record {
-        std::uint64_t seq = 0; ///< global order of this event (1-based)
-        std::uint64_t ts_ns = 0;
-        std::uint64_t ticket = 0;
-        stage st = stage::post;
-        std::uint16_t slot = 0;
-        std::uint8_t epoch = 0;
-        std::uint32_t info = 0;
-    };
-
-    /// Readable, non-torn records, oldest first. Entries a concurrent writer
-    /// is mid-update on are skipped (they reappear complete next snapshot).
-    [[nodiscard]] std::vector<record> snapshot() const;
+    /// Readable, non-torn records as lifecycle events, oldest first. Entries
+    /// a concurrent writer is mid-update on are skipped (they reappear
+    /// complete next snapshot).
+    [[nodiscard]] std::vector<trace::event> snapshot() const;
 
     /// Total events ever noted / lost to wrap-around.
     [[nodiscard]] std::uint64_t pushed() const noexcept {
@@ -75,8 +70,8 @@ private:
         std::atomic<std::uint64_t> seq{0};
         std::atomic<std::uint64_t> ts{0};
         std::atomic<std::uint64_t> ticket{0};
-        /// stage u8 | slot u16 << 8 | epoch u8 << 24 | info u32 << 32.
-        std::atomic<std::uint64_t> meta{0};
+        /// pack_ref(node, slot, epoch, stage).
+        std::atomic<std::uint64_t> ref{0};
     };
 
     std::vector<entry> slots_;
@@ -101,10 +96,11 @@ public:
     static void reset();
 };
 
-/// Render one target's black box as a postmortem JSON document: ring
-/// metadata, the raw event list, and per-ticket partial request timelines
-/// ("requests"), newest-first. `kind` is the transition that triggered the
-/// dump ("target_failed", "recovering", "on_demand").
+/// One target's black box as a timelines document (timelines_json): the
+/// ring's snapshot reassembled as one lane, headed by the dump's node, kind
+/// ("target_failed", "recovering", "on_demand"), epoch, reason and the
+/// number of events ever recorded. Requests whose early events were
+/// overwritten come out partial and lossy.
 [[nodiscard]] std::string postmortem_json(std::uint16_t node, const char* kind,
                                           std::uint8_t epoch,
                                           const std::string& reason);

@@ -1,6 +1,6 @@
 #include "obs/obs.hpp"
 
-#include "util/env.hpp"
+#include <atomic>
 
 namespace aurora::obs {
 
@@ -23,36 +23,9 @@ const char* to_string(stage s) noexcept {
     return "?";
 }
 
-namespace detail {
-
-std::atomic<int> g_mode{0};
-
-bool latch_enabled() {
-    // HAM_AURORA_OBS unset -> follow the trace switch (mode 3) so that a
-    // plain HAM_AURORA_TRACE=1 run gets request timelines without a second
-    // knob; set, it decides on its own.
-    int mode = 3;
-    if (const auto v = env_string("HAM_AURORA_OBS")) {
-        mode = (*v == "0" || *v == "false" || *v == "off") ? 1 : 2;
-    }
-    int expected = 0;
-    g_mode.compare_exchange_strong(expected, mode,
-                                   std::memory_order_relaxed);
-    const int m = g_mode.load(std::memory_order_relaxed);
-    return m == 3 ? trace::enabled() : m == 2;
-}
-
-} // namespace detail
-
-void set_enabled(bool on) noexcept {
-    detail::g_mode.store(on ? 2 : 1, std::memory_order_relaxed);
-}
-
-void emit(stage s, std::uint16_t node, std::uint64_t ticket,
-          std::uint16_t slot, std::uint8_t epoch, std::uint64_t ts_ns) {
-    if (!enabled()) {
-        return;
-    }
+trace::event lifecycle(stage s, std::uint16_t node, std::uint64_t ticket,
+                       std::uint16_t slot, std::uint8_t epoch,
+                       std::uint64_t ts_ns) noexcept {
     trace::event e;
     e.cat = "req";
     e.name = to_string(s);
@@ -60,11 +33,11 @@ void emit(stage s, std::uint16_t node, std::uint64_t ticket,
     e.value = ticket;
     e.ref = pack_ref(node, slot, epoch, s);
     e.type = trace::event_type::lifecycle;
-    trace::emit(e);
+    return e;
 }
 
 trace_context mint(std::uint16_t origin_node) noexcept {
-    if (!enabled()) {
+    if (!trace::enabled()) {
         return {};
     }
     // Process-wide counter: ids are unique and, because every increment
@@ -80,17 +53,13 @@ trace_context mint(std::uint16_t origin_node) noexcept {
 
 void emit_ctx(std::uint16_t node, std::uint64_t ticket,
               const trace_context& ctx) {
-    if (!enabled() || !ctx.valid()) {
+    if (!trace::enabled() || !ctx.valid()) {
         return;
     }
-    trace::event e;
-    e.cat = "req";
-    e.name = to_string(stage::ctx);
-    e.ts_ns = trace::clock_ns();
+    // The parent span rides the slot field, the full trace id dur_ns.
+    trace::event e = lifecycle(stage::ctx, node, ticket, ctx.parent_span, 0,
+                               trace::clock_ns());
     e.dur_ns = ctx.trace_id;
-    e.value = ticket;
-    e.ref = pack_ref(node, ctx.parent_span, 0, stage::ctx);
-    e.type = trace::event_type::lifecycle;
     trace::emit(e);
 }
 

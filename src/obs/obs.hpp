@@ -3,17 +3,18 @@
 // Three cooperating pieces (docs/TRACING.md, "request timelines & flight
 // recorder"):
 //
-//   * request-lifecycle events: every runtime/scheduler/backend/net
-//     touchpoint of one offload request emits a ticket-keyed
-//     trace::event_type::lifecycle record into the existing trace lanes
-//     (one per simulated process). A request is identified by (node, ticket) — tickets are
-//     per-target counters in the runtime, node is the machine-unique global
-//     id (runtime_options::node_base + local node). VE-side touchpoints do
-//     not know the ticket (the wire deliberately carries none on the
-//     single-machine protocols); they are keyed (node, slot) and re-joined by
-//     the timeline reassembler, which exploits the fact that a slot is
-//     strictly serialised in virtual time: a VE event belongs to the latest
-//     host `post` on the same slot that precedes it.
+//   * request-lifecycle events: every runtime/scheduler/target/net
+//     touchpoint of one offload request is one ticket-keyed
+//     trace::event_type::lifecycle record (lifecycle() below) in the trace
+//     lanes (one per simulated process). A request is identified by
+//     (node, ticket) — tickets are per-target counters in the runtime, node
+//     is the machine-unique global id (runtime_options::node_base + local
+//     node). VE-side touchpoints do not know the ticket (the wire
+//     deliberately carries none on the single-machine protocols); they are
+//     keyed (node, slot) and re-joined by the timeline reassembler, which
+//     exploits the fact that a slot is strictly serialised in virtual time: a
+//     VE event belongs to the latest host `post` on the same slot that
+//     precedes it.
 //
 //   * trace-context propagation (cluster tier): aurora::net frames carry a
 //     64-bit trace id and a 16-bit parent span id in the routing header's
@@ -24,23 +25,21 @@
 //     fast-path guarantee holds.
 //
 //   * an always-on bounded flight recorder (obs/flight.hpp): a per-target
-//     black-box ring of recent request events, dumped as a postmortem JSON
-//     when a target fails or enters recovery, and on demand via
-//     `aurora_info --flight`.
+//     black-box ring of the same lifecycle events, written by the offload
+//     runtime alone (post, every accepted wire send, harvest, collect,
+//     failed), dumped as a timelines document when a target fails or enters
+//     recovery, and on demand via `aurora_info --flight`.
 //
 // Cost discipline mirrors aurora::trace: disabled, every emit helper is one
 // relaxed atomic load and a predictable branch; enabled, one ring-buffer
 // store. The flight recorder is always on and costs a handful of relaxed
-// atomic stores per request — it never allocates after construction and
+// atomic stores per touchpoint — it never allocates after construction and
 // never takes a lock on the hot path.
 //
-// Gating: HAM_AURORA_OBS=0 forces request tracing off, HAM_AURORA_OBS=1
-// forces it on; unset, it follows HAM_AURORA_TRACE. Lifecycle events ride
-// the trace lanes, so they are only *recorded* while aurora::trace is
-// enabled as well.
+// Gating: request tracing is aurora::trace's switch (HAM_AURORA_TRACE);
+// lifecycle events ride the trace lanes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "trace/trace.hpp"
@@ -99,38 +98,31 @@ inline constexpr std::size_t num_stages = 14;
     return static_cast<stage>(ref & 0xff);
 }
 
-namespace detail {
-/// 0 = not latched, 1 = off, 2 = on, 3 = follow aurora::trace.
-extern std::atomic<int> g_mode;
-[[nodiscard]] bool latch_enabled();
-} // namespace detail
+/// Forwards to trace::set_enabled: request tracing has no switch of its own.
+inline void set_enabled(bool on) noexcept { trace::set_enabled(on); }
 
-/// Request tracing switch: HAM_AURORA_OBS if set, else follows trace.
-[[nodiscard]] inline bool enabled() noexcept {
-    const int m = detail::g_mode.load(std::memory_order_relaxed);
-    if (m == 0) {
-        return detail::latch_enabled();
+/// The lifecycle event of one touchpoint at virtual time `ts_ns` — the one
+/// record form of a request touchpoint, in a trace lane and in a flight ring.
+/// `ticket` is the per-target request ticket (0 for VE-side events, which are
+/// re-keyed by slot).
+[[nodiscard]] trace::event lifecycle(stage s, std::uint16_t node,
+                                     std::uint64_t ticket, std::uint16_t slot,
+                                     std::uint8_t epoch,
+                                     std::uint64_t ts_ns) noexcept;
+
+/// Record lifecycle(...) in the current trace lane while tracing is on.
+inline void emit(stage s, std::uint16_t node, std::uint64_t ticket,
+                 std::uint16_t slot, std::uint8_t epoch, std::uint64_t ts_ns) {
+    if (trace::enabled()) {
+        trace::emit(lifecycle(s, node, ticket, slot, epoch, ts_ns));
     }
-    if (m == 3) {
-        return trace::enabled();
-    }
-    return m == 2;
 }
-
-/// Programmatic override (tools/tests); wins over the environment.
-void set_enabled(bool on) noexcept;
-
-/// Record one lifecycle touchpoint at an explicit virtual timestamp.
-/// `ticket` is the per-target request ticket (0 for VE-side events, which
-/// are re-keyed by slot). Rides the current thread's trace lane.
-void emit(stage s, std::uint16_t node, std::uint64_t ticket,
-          std::uint16_t slot, std::uint8_t epoch, std::uint64_t ts_ns);
 
 /// Convenience: touchpoint at trace::clock_ns().
 inline void emit_now(stage s, std::uint16_t node, std::uint64_t ticket,
                      std::uint16_t slot, std::uint8_t epoch) {
-    if (enabled()) {
-        emit(s, node, ticket, slot, epoch, trace::clock_ns());
+    if (trace::enabled()) {
+        trace::emit(lifecycle(s, node, ticket, slot, epoch, trace::clock_ns()));
     }
 }
 

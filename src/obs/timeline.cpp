@@ -210,9 +210,9 @@ reassembly reassemble() {
     return reassemble(trace::collector::instance().snapshot());
 }
 
-std::string timelines_json(const reassembly& r) {
+std::string timelines_json(const reassembly& r, const std::string& head) {
     std::ostringstream os;
-    os << "{\"timelines\":[";
+    os << "{" << head << (head.empty() ? "" : ",") << "\"timelines\":[";
     bool first_tl = true;
     for (const timeline& tl : r.timelines) {
         if (!first_tl) {
@@ -285,7 +285,7 @@ void record_stage_metrics(const reassembly& r) {
 }
 
 void flush_to_env() {
-    if (!enabled() || !trace::enabled()) {
+    if (!trace::enabled()) {
         return;
     }
     const auto file = env_string("HAM_AURORA_OBS_FILE");

@@ -71,8 +71,11 @@ struct reassembly {
 reassemble(const std::vector<trace::collector::lane_snapshot>& lanes);
 [[nodiscard]] reassembly reassemble();
 
-/// Machine-readable dump consumed by tools/aurora_trace_query.
-[[nodiscard]] std::string timelines_json(const reassembly& r);
+/// Machine-readable dump consumed by tools/aurora_trace_query. `head`, when
+/// given, is written first: JSON object members without a trailing comma
+/// (a postmortem's node, kind and reason).
+[[nodiscard]] std::string timelines_json(const reassembly& r,
+                                         const std::string& head = {});
 
 /// Feed the complete timelines into the metrics registry:
 /// aurora_obs_stage_ns{stage=...} log2 histograms plus
@@ -82,8 +85,8 @@ void record_stage_metrics(const reassembly& r);
 
 /// Honour HAM_AURORA_OBS_FILE: reassemble the global collector, write the
 /// timelines JSON there, and record the stage histograms. Called from
-/// offload::run teardown next to trace::flush_to_env(). No-op when request
-/// tracing is off or the variable is unset.
+/// offload::run teardown next to trace::flush_to_env(). No-op when tracing
+/// is off or the variable is unset.
 void flush_to_env();
 
 } // namespace aurora::obs

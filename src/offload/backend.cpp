@@ -53,9 +53,7 @@ backend_metrics::send_timer::~send_timer() {
 
 void backend_metrics::count_polls(std::uint64_t n) noexcept {
     polls_->add(n);
-#if !defined(HAM_AURORA_TRACE_DISABLED)
     aurora::trace::count("backend", poll_trace_name_, n);
-#endif
 }
 
 backend_metrics::poll_timer::poll_timer(backend_metrics& m,

@@ -16,10 +16,6 @@
 #include "offload/types.hpp"
 #include "sim/engine.hpp"
 
-namespace aurora::obs {
-class flight_ring;
-}
-
 namespace ham::offload {
 
 /// Outcome of a send-side transport operation (aurora::fault hardening): the

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "obs/flight.hpp"
 #include "offload/heal.hpp"
 #include "sim/event.hpp"
 #include "trace/trace.hpp"
@@ -20,7 +19,7 @@ struct parcel {
     sim::time_ns deliver_at = 0;
 };
 
-/// A message in flight: its flag travels with the payload.
+/// A message on the wire: its flag travels with the payload.
 struct packet : parcel {
     protocol::flag_word flag;
 };
@@ -135,8 +134,7 @@ backend_queue::kind_profile backend_queue::profile_for(backend_kind kind,
 backend_queue::backend_queue(sim::simulation& sim,
                              const ham::handler_registry& target_reg,
                              const sim::cost_model& costs,
-                             const runtime_options& opt, node_t node,
-                             aurora::obs::flight_ring& flight)
+                             const runtime_options& opt, node_t node)
     : sim_(sim),
       costs_(costs),
       node_(node),
@@ -146,7 +144,6 @@ backend_queue::backend_queue(sim::simulation& sim,
       shared_(std::make_shared<shared_state>(sim, opt.msg_slots)),
       send_gen_(opt.msg_slots, 0),
       target_reg_(&target_reg),
-      flight_(flight),
       met_(kind_.name, node, kind_.poll_counter) {
     spawn_target();
 }
@@ -191,8 +188,6 @@ io_status backend_queue::send_message(std::uint32_t slot, const void* msg,
                      "the " << kind_.name << " backend has no DMA data path");
     AURORA_TRACE_SPAN("backend", kind_.send_span);
     const backend_metrics::send_timer timer(met_, len);
-    flight_.note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
-                 epoch_, static_cast<std::uint32_t>(len));
     auto& inj = aurora::fault::injector::instance();
     if (inj.active()) {
         if (const auto spike = inj.delay_spike()) {

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "obs/flight.hpp"
 #include "offload/app_image.hpp"
 #include "offload/future.hpp"
 #include "offload/heal.hpp"
@@ -35,8 +34,7 @@ constexpr int ham_staging_shm_key = 0x48414E; // "HAN"
 } // namespace
 
 backend_vedma::backend_vedma(aurora::veos::veos_system& sys, int ve_id, node_t node,
-                             const runtime_options& opt,
-                             aurora::obs::flight_ring& flight)
+                             const runtime_options& opt)
     : sys_(sys),
       ve_id_(ve_id),
       node_(node),
@@ -45,7 +43,6 @@ backend_vedma::backend_vedma(aurora::veos::veos_system& sys, int ve_id, node_t n
       shms_(sys.plat()),
       send_gen_(opt.msg_slots, 0),
       result_gen_(opt.msg_slots, 0),
-      flight_(flight),
       met_("vedma", node, "vedma_poll") {
     AURORA_CHECK_MSG(opt.msg_size % 8 == 0,
                      "vedma backend requires 8-byte aligned message sizes");
@@ -144,8 +141,6 @@ io_status backend_vedma::send_message(std::uint32_t slot, const void* msg,
     // the message into the shared segment, then publish the flag.
     AURORA_TRACE_SPAN("backend", "vedma_send");
     const backend_metrics::send_timer timer(met_, len);
-    flight_.note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
-                 epoch_, static_cast<std::uint32_t>(len));
     auto& inj = aurora::fault::injector::instance();
     if (inj.active()) {
         if (const auto spike = inj.delay_spike()) {

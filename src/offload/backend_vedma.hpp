@@ -25,9 +25,8 @@ namespace ham::offload {
 
 class backend_vedma final : public backend {
 public:
-    /// Notes its wire sends in `flight`, the target's black box.
     backend_vedma(aurora::veos::veos_system& sys, int ve_id, node_t node,
-                  const runtime_options& opt, aurora::obs::flight_ring& flight);
+                  const runtime_options& opt);
     ~backend_vedma() override;
 
     [[nodiscard]] std::uint32_t slot_count() const override {
@@ -106,7 +105,6 @@ private:
     /// First-transmission messages since the last attach — the VE channel's
     /// poll cursor, for the inject_stale_flag test seam (see backend_veo).
     std::uint64_t sends_since_attach_ = 0;
-    aurora::obs::flight_ring& flight_;
     backend_metrics met_;
 };
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "obs/flight.hpp"
 #include "offload/app_image.hpp"
 #include "offload/future.hpp"
 #include "offload/heal.hpp"
@@ -30,14 +29,12 @@ protocol::comm_layout make_layout(const runtime_options& opt) {
 } // namespace
 
 backend_veo::backend_veo(aurora::veos::veos_system& sys, int ve_id, node_t node,
-                         const runtime_options& opt,
-                         aurora::obs::flight_ring& flight)
+                         const runtime_options& opt)
     : sys_(sys),
       ve_id_(ve_id),
       node_(node),
       layout_(make_layout(opt)),
       vh_socket_(opt.vh_socket),
-      flight_(flight),
       send_gen_(opt.msg_slots, 0),
       result_gen_(opt.msg_slots, 0),
       met_("veo", node, "veo_poll") {
@@ -115,8 +112,6 @@ io_status backend_veo::send_message(std::uint32_t slot, const void* msg,
         ++sends_since_attach_;
     }
     const backend_metrics::send_timer timer(met_, len);
-    flight_.note(aurora::obs::stage::sent, 0, static_cast<std::uint16_t>(slot),
-                 epoch_, static_cast<std::uint32_t>(len));
     auto& inj = aurora::fault::injector::instance();
     if (inj.active()) {
         if (const auto spike = inj.delay_spike()) {

@@ -24,9 +24,8 @@ namespace ham::offload {
 
 class backend_veo final : public backend {
 public:
-    /// Notes its wire sends in `flight`, the target's black box.
     backend_veo(aurora::veos::veos_system& sys, int ve_id, node_t node,
-                const runtime_options& opt, aurora::obs::flight_ring& flight);
+                const runtime_options& opt);
     ~backend_veo() override;
 
     [[nodiscard]] std::uint32_t slot_count() const override {
@@ -67,7 +66,6 @@ private:
     node_t node_;
     protocol::comm_layout layout_;
     int vh_socket_;
-    aurora::obs::flight_ring& flight_;
     aurora::veo::veo_proc_handle* proc_ = nullptr;
     aurora::veo::veo_thr_ctxt* ctx_ = nullptr;
     std::uint64_t comm_addr_ = 0; ///< base of the communication area (VE memory)

@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstring>
-#include <exception>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -113,12 +111,6 @@ class future {
         std::uint64_t status = 0; ///< result_header status of a failed result
         std::string error_text;
         storage value{};
-        std::function<void()> on_ready;
-        /// An exception the on_ready callback raised during settlement. It is
-        /// parked here instead of escaping the poll that happened to deliver
-        /// the result (which may be settling a whole batch of waiters, e.g.
-        /// fail_target's synthetic results) and rethrown from get().
-        std::exception_ptr callback_error;
     };
 
 public:
@@ -157,23 +149,6 @@ public:
     }
 
     [[nodiscard]] bool valid() const noexcept { return s_ != nullptr; }
-
-    /// Register a completion callback, invoked exactly once from within the
-    /// test()/get() call that observes the result (or immediately, when the
-    /// future is already satisfied). The callback must not block; it runs on
-    /// the host process while the runtime is mid-poll. One callback per
-    /// future — the scheduling-layer hook for dependency resolution. An
-    /// exception thrown by the callback never escapes the delivering poll
-    /// (settlement must reach every waiter); it is rethrown by get().
-    void on_ready(std::function<void()> cb) {
-        AURORA_CHECK_MSG(valid(), "on_ready() on an invalid future");
-        AURORA_CHECK_MSG(!s_->on_ready, "future already has an on_ready callback");
-        if (s_->ready) {
-            invoke_callback(std::move(cb));
-            return;
-        }
-        s_->on_ready = std::move(cb);
-    }
 
     /// Non-blocking readiness probe.
     [[nodiscard]] bool test() {
@@ -219,9 +194,6 @@ public:
             s_->src->wait_collect_until(s_->node, s_->ticket, s_->slot, bytes,
                                         detail::no_deadline);
             absorb(bytes);
-        }
-        if (s_->callback_error) {
-            std::rethrow_exception(s_->callback_error);
         }
         if (s_->failed) {
             if (s_->status == protocol::status::target_failed) {
@@ -287,21 +259,6 @@ private:
             }
         }
         s_->ready = true;
-        if (s_->on_ready) {
-            // Cleared before invoking so the callback observes a plain ready
-            // future; it must not destroy the future it was registered on.
-            std::function<void()> cb = std::move(s_->on_ready);
-            s_->on_ready = nullptr;
-            invoke_callback(std::move(cb));
-        }
-    }
-
-    void invoke_callback(std::function<void()> cb) {
-        try {
-            cb();
-        } catch (...) {
-            s_->callback_error = std::current_exception();
-        }
     }
 
     std::shared_ptr<state> s_;

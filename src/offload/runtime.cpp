@@ -144,12 +144,13 @@ void runtime::bind_instruments(target_state& t, node_t node) {
 
 void runtime::note_stage(target_state& t, node_t node, aurora::obs::stage s,
                          std::uint64_t ticket, std::uint32_t slot,
-                         std::uint32_t info, sim::time_ns at) {
-    const auto slot16 = static_cast<std::uint16_t>(slot);
-    t.flight->note(s, ticket, slot16, t.epoch, info);
-    if (aurora::obs::enabled()) {
-        aurora::obs::emit(s, gid(node), ticket, slot16, t.epoch,
-                          static_cast<std::uint64_t>(at));
+                         sim::time_ns at, bool traced) {
+    const aurora::trace::event e = aurora::obs::lifecycle(
+        s, gid(node), ticket, static_cast<std::uint16_t>(slot), t.epoch,
+        static_cast<std::uint64_t>(at));
+    t.flight->note(e);
+    if (traced && aurora::trace::enabled()) {
+        aurora::trace::emit(e);
     }
 }
 
@@ -212,9 +213,8 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
         const node_t gid = static_cast<node_t>(opt_.node_base) + node;
         // Black box: shared across incarnations and runtimes via the
         // process-wide registry, so a postmortem survives our teardown.
-        aurora::obs::flight_ring& flight =
-            aurora::obs::flight_registry::ring_for(std::uint16_t(gid));
-        state->flight = &flight;
+        state->flight =
+            &aurora::obs::flight_registry::ring_for(std::uint16_t(gid));
         try {
             if (inj.take_attach_failure(int(gid))) {
                 throw target_attach_error("injected attach failure on node " +
@@ -224,16 +224,15 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
                 case backend_kind::loopback:
                 case backend_kind::tcp:
                     state->be = std::make_unique<backend_queue>(
-                        sim_, queue_target_image_registry(), costs_, opt_, gid,
-                        flight);
+                        sim_, queue_target_image_registry(), costs_, opt_, gid);
                     break;
                 case backend_kind::veo:
                     state->be = std::make_unique<backend_veo>(
-                        *sys_, target, gid, opt_, flight);
+                        *sys_, target, gid, opt_);
                     break;
                 case backend_kind::vedma:
                     state->be = std::make_unique<backend_vedma>(
-                        *sys_, target, gid, opt_, flight);
+                        *sys_, target, gid, opt_);
                     break;
             }
             state->slot_ticket.assign(state->be->slot_count(), 0);
@@ -246,7 +245,6 @@ runtime::runtime(sim::simulation& sim, aurora::veos::veos_system* sys,
             state->fail_reason = e.what();
         }
         state->slot_sent_ns.assign(state->slot_ticket.size(), 0);
-        state->slot_posted_ns.assign(state->slot_ticket.size(), 0);
         state->retry_tokens = opt_.retry_budget;
         state->retry_refill_at = sim::now();
         bind_instruments(*state, gid);
@@ -423,15 +421,14 @@ void runtime::fail_target(node_t node, const std::string& why) {
             continue;
         }
         settle_failed(t, ticket, why);
-        note_stage(t, node, aurora::obs::stage::failed, ticket, s, 0, sim::now());
+        note_stage(t, node, aurora::obs::stage::failed, ticket, s, sim::now());
         t.slot_ticket[s] = 0;
         t.slot_sent_ns[s] = 0; // synthetic settlements are not round-trips
-        t.slot_posted_ns[s] = 0;
         t.met.inflight->add(-1);
     }
     for (const replay_entry& e : t.replay) {
         settle_failed(t, e.ticket, why);
-        note_stage(t, node, aurora::obs::stage::failed, e.ticket, 0, 0,
+        note_stage(t, node, aurora::obs::stage::failed, e.ticket, 0,
                    sim::now());
     }
     t.replay.clear();
@@ -507,12 +504,11 @@ void runtime::begin_recovery(target_state& t, node_t node,
                 {ticket, std::move(it->second.wire), it->second.kind});
         } else {
             settle_failed(t, ticket, why);
-            note_stage(t, node, aurora::obs::stage::failed, ticket, s, 0,
+            note_stage(t, node, aurora::obs::stage::failed, ticket, s,
                        sim::now());
         }
         t.slot_ticket[s] = 0;
         t.slot_sent_ns[s] = 0;
-        t.slot_posted_ns[s] = 0;
         t.met.inflight->add(-1);
     }
     t.pending.clear();
@@ -580,13 +576,12 @@ bool runtime::maybe_recover(target_state& t, node_t node) {
         }
         t.slot_ticket[slot] = e.ticket;
         t.slot_sent_ns[slot] = sim::now();
-        t.slot_posted_ns[slot] = sim::now();
         // A replayed post: same ticket, fresh incarnation. The repost and the
         // wire send collapse into one instant here.
         note_stage(t, node, aurora::obs::stage::post, e.ticket, slot,
-                   static_cast<std::uint32_t>(e.wire.size()), sim::now());
-        aurora::obs::emit_now(aurora::obs::stage::sent, gid(node), e.ticket,
-                              static_cast<std::uint16_t>(slot), epoch);
+                   sim::now());
+        note_stage(t, node, aurora::obs::stage::sent, e.ticket, slot,
+                   sim::now());
         t.met.inflight->add(1);
         pending_send p;
         p.kind = e.kind;
@@ -694,6 +689,8 @@ bool runtime::absorb_result(target_state& t, std::uint32_t slot, node_t node,
             } catch (const target_failed_error&) {
                 return true;
             }
+            note_stage(t, node, aurora::obs::stage::sent, t.slot_ticket[slot],
+                       slot, sim::now(), /*traced=*/false);
             ++p.attempts;
             p.sent_at = sim::now();
             return false; // still outstanding
@@ -723,8 +720,7 @@ bool runtime::absorb_result(target_state& t, std::uint32_t slot, node_t node,
         t.slot_sent_ns[slot] = 0;
     }
     note_stage(t, node, aurora::obs::stage::harvest, t.slot_ticket[slot], slot,
-               static_cast<std::uint32_t>(bytes.size()), sim::now());
-    t.slot_posted_ns[slot] = 0;
+               sim::now());
     t.arrived.emplace(t.slot_ticket[slot], std::move(bytes));
     t.slot_ticket[slot] = 0;
     t.met.inflight->add(-1);
@@ -846,12 +842,9 @@ std::uint64_t runtime::post_on_slot(target_state& t, node_t node,
     const std::uint64_t ticket = t.next_ticket++;
     t.slot_ticket[slot] = ticket;
     t.slot_sent_ns[slot] = sim::now();
-    t.slot_posted_ns[slot] = posted_at;
     t.met.inflight->add(1);
-    note_stage(t, node, aurora::obs::stage::post, ticket, slot,
-               static_cast<std::uint32_t>(wire_len), posted_at);
-    aurora::obs::emit_now(aurora::obs::stage::sent, gid(node), ticket,
-                          static_cast<std::uint16_t>(slot), t.epoch);
+    note_stage(t, node, aurora::obs::stage::post, ticket, slot, posted_at);
+    note_stage(t, node, aurora::obs::stage::sent, ticket, slot, sim::now());
     if (resilient_) {
         pending_send p;
         p.wire.assign(wire, wire + wire_len);
@@ -922,6 +915,8 @@ void runtime::check_deadlines(target_state& t, node_t node) {
         } catch (const target_failed_error&) {
             return;
         }
+        note_stage(t, node, aurora::obs::stage::sent, t.slot_ticket[slot], slot,
+                   sim::now(), /*traced=*/false);
         ++p.attempts;
         p.sent_at = sim::now();
         if (inj.active() && opt_.retry_jitter) {
@@ -1150,8 +1145,7 @@ bool runtime::take_arrived(target_state& t, node_t node, std::uint64_t ticket,
     t.met.results_received->add(1);
     t.met.queue_depth->add(-1);
     AURORA_TRACE_COUNTER("offload", "result_bytes", out.size());
-    aurora::obs::emit_now(aurora::obs::stage::collect, gid(node), ticket,
-                          static_cast<std::uint16_t>(slot), t.epoch);
+    note_stage(t, node, aurora::obs::stage::collect, ticket, slot, sim::now());
     return true;
 }
 

@@ -267,12 +267,8 @@ private:
         target_instruments met;
         /// aurora::obs black box for this target (process-wide registry ring,
         /// keyed on the global node id; survives runtime teardown). Set by
-        /// the constructor, before the backend that records into it.
+        /// the constructor; note_stage is its only writer.
         aurora::obs::flight_ring* flight = nullptr;
-        /// Post (slot-bind) timestamp per slot, for request-stage attribution
-        /// (slot_sent_ns is taken *after* the wire send; obs needs the edge
-        /// before it too).
-        std::vector<sim::time_ns> slot_posted_ns;
     };
 
     target_state& state_for(node_t node);
@@ -372,11 +368,13 @@ private:
     [[nodiscard]] std::uint16_t gid(node_t node) const noexcept {
         return static_cast<std::uint16_t>(opt_.node_base + int(node));
     }
-    /// One request touchpoint of `t`: into its flight ring and, when request
-    /// tracing is on, as a lifecycle event stamped `at`.
+    /// One request touchpoint of `t` at virtual time `at`, the only writer of
+    /// the target's flight ring. `traced` touchpoints also go into the trace
+    /// lane while tracing is on; a resend (retransmit or NACK answer) is not
+    /// traced, since a lane carries one `sent` per post.
     void note_stage(target_state& t, node_t node, aurora::obs::stage s,
-                    std::uint64_t ticket, std::uint32_t slot, std::uint32_t info,
-                    sim::time_ns at);
+                    std::uint64_t ticket, std::uint32_t slot, sim::time_ns at,
+                    bool traced = true);
     /// Transition `t.health` and mirror it into the health gauge.
     void set_health(target_state& t, target_health h);
     /// Reset `t`'s probation streak (health_version() moves with it).

@@ -48,7 +48,7 @@ void runtime_engines::bind(std::size_t e,
                            std::uint64_t queued_ns,
                            ham::offload::future<void>& out) {
     const ham::offload::node_t node = engine_id(e);
-    if (aurora::obs::enabled()) {
+    if (aurora::trace::enabled()) {
         // The submit touchpoint carries the ticket the runtime just assigned,
         // back-dated to when the message's earliest task entered its ready
         // queue: queue_wait = submit..post.
@@ -676,7 +676,7 @@ bool executor::dispatch_target(std::size_t t) {
 
         AURORA_TRACE_SPAN("sched", "dispatch");
         std::uint64_t ready_ns = 0;
-        if (aurora::obs::enabled()) {
+        if (aurora::trace::enabled()) {
             ready_ns = tasks_[group_.front()].ready_at_ns;
             for (const task_id id : group_) {
                 ready_ns = std::min(ready_ns, tasks_[id].ready_at_ns);

@@ -12,8 +12,7 @@
 //     load plus a predictable branch — bench_trace_overhead pins this at
 //     well under 1% of the cheapest offload hot path;
 //   * enabled: one clock read and one ring-buffer store per event, still
-//     lock-free and allocation-free on the hot path;
-//   * compiled out (-DHAM_AURORA_TRACE_DISABLED): the macros vanish.
+//     lock-free and allocation-free on the hot path.
 //
 // Timestamps use the virtual clock inside a simulated process (so spans
 // line up with the cost model the benches report) and a real steady clock
@@ -224,21 +223,14 @@ void flush_to_env();
 
 // --- call-site macros -------------------------------------------------------
 // AURORA_TRACE_SPAN declares a scoped span covering the rest of the enclosing
-// block; the others are statements. All compile to nothing under
-// -DHAM_AURORA_TRACE_DISABLED.
+// block; the others are statements.
 
 #define AURORA_TRACE_DETAIL_CAT2(a, b) a##b
 #define AURORA_TRACE_DETAIL_CAT(a, b) AURORA_TRACE_DETAIL_CAT2(a, b)
 
-#if defined(HAM_AURORA_TRACE_DISABLED)
-#define AURORA_TRACE_SPAN(cat, name) ((void)0)
-#define AURORA_TRACE_COUNTER(cat, name, delta) ((void)0)
-#define AURORA_TRACE_INSTANT(cat, name) ((void)0)
-#else
 #define AURORA_TRACE_SPAN(cat, name)                                           \
     const ::aurora::trace::scoped_span AURORA_TRACE_DETAIL_CAT(                \
         aurora_trace_span_, __LINE__)(cat, name)
 #define AURORA_TRACE_COUNTER(cat, name, delta)                                 \
     ::aurora::trace::count(cat, name, delta)
 #define AURORA_TRACE_INSTANT(cat, name) ::aurora::trace::instant(cat, name)
-#endif

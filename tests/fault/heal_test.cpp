@@ -7,15 +7,11 @@
 //     behaviour (target_failed_error, health == failed),
 //   * replayed offloads execute exactly once,
 //   * drain() settles every outstanding ticket before shutdown,
-//   * MTTR is recorded to the aurora_heal_mttr_ns histogram,
-//   * on_ready settlement is exception-safe while fail_target batches
-//     synthetic results (regression: a throwing callback must not escape the
-//     poll that delivered a different future's result).
+//   * MTTR is recorded to the aurora_heal_mttr_ns histogram.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 
 #include "fault/fault.hpp"
@@ -220,31 +216,6 @@ TEST_F(Heal, MttrHistogramRecordsTheOutage) {
     // The outage spans at least the detection window (reply timeout x
     // retries) plus the re-attach backoff — virtual time, so a hard floor.
     EXPECT_GT(after.sum - before.sum, 50'000u);
-}
-
-TEST_F(Heal, OnReadySettlementIsExceptionSafeDuringFailTarget) {
-    // Recovery disabled: the death is terminal and fail_target settles every
-    // outstanding ticket with a synthetic target_failed result in one batch.
-    // A throwing on_ready callback must be parked (rethrown from get()), not
-    // escape the poll that happened to deliver it — the other future still
-    // settles and its callback still fires.
-    fault::injector::instance().kill_after_messages(1, 1);
-    runtime_options opt;
-    opt.backend = backend_kind::loopback;
-    opt.reply_timeout_ns = 100'000;
-    opt.max_retries = 2;
-    run_guarded(opt, [] {
-        auto f1 = async(1, ham::f2f<&add_one>(1.0));
-        auto f2 = async(1, ham::f2f<&add_one>(2.0));
-        f1.on_ready([] { throw std::runtime_error("callback boom"); });
-        bool f2_fired = false;
-        f2.on_ready([&] { f2_fired = true; });
-        // The settling poll itself must not leak the callback exception.
-        EXPECT_NO_THROW(static_cast<void>(f1.wait_for(10'000'000)));
-        EXPECT_THROW(f1.get(), std::runtime_error);
-        EXPECT_THROW(f2.get(), target_failed_error);
-        EXPECT_TRUE(f2_fired);
-    });
 }
 
 } // namespace

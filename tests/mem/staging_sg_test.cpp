@@ -1,67 +1,13 @@
-// aurora::mem — staging_pool round-robin/exhaustion semantics and sg_list
-// split/coalesce behaviour (the descriptor shape the VE channel turns into
-// one dma_post_2d chain plus an optional tail post).
+// aurora::mem — sg_list split/coalesce behaviour (the descriptor shape the
+// VE channel turns into one dma_post_2d chain plus an optional tail post).
 #include "mem/sg.hpp"
-#include "mem/staging_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <set>
 
 namespace aurora::mem {
 namespace {
-
-TEST(StagingPool, HandsOutEveryChunkThenExhausts) {
-    staging_pool p(4096, 3);
-    EXPECT_EQ(p.size(), 3u);
-    EXPECT_EQ(p.chunk_bytes(), 4096u);
-
-    std::set<std::byte*> seen;
-    std::vector<staging_pool::buffer> held;
-    for (int i = 0; i < 3; ++i) {
-        auto b = p.try_acquire();
-        ASSERT_TRUE(b.has_value());
-        EXPECT_NE(b->data, nullptr);
-        EXPECT_EQ(b->bytes, 4096u);
-        seen.insert(b->data);
-        held.push_back(*b);
-    }
-    EXPECT_EQ(seen.size(), 3u) << "chunks must be distinct";
-    // All in flight: acquire fails without blocking, and is counted.
-    EXPECT_FALSE(p.try_acquire().has_value());
-    EXPECT_EQ(p.stats().exhausted, 1u);
-    EXPECT_EQ(p.stats().in_use, 3u);
-
-    // Releasing one makes exactly one available again, same backing chunk.
-    p.release(held[1]);
-    auto again = p.try_acquire();
-    ASSERT_TRUE(again.has_value());
-    EXPECT_EQ(again->data, held[1].data);
-    EXPECT_EQ(again->index, held[1].index);
-}
-
-TEST(StagingPool, ReleaseIsIdempotentPerChunk) {
-    staging_pool p(256, 2);
-    auto a = p.try_acquire();
-    ASSERT_TRUE(a.has_value());
-    p.release(*a);
-    p.release(*a); // second release: no-op, must not corrupt accounting
-    EXPECT_EQ(p.stats().in_use, 0u);
-    EXPECT_TRUE(p.try_acquire().has_value());
-    EXPECT_TRUE(p.try_acquire().has_value());
-    EXPECT_FALSE(p.try_acquire().has_value());
-}
-
-TEST(StagingPool, ChunksAreWritable) {
-    staging_pool p(1024, 1);
-    auto b = p.try_acquire();
-    ASSERT_TRUE(b.has_value());
-    std::memset(b->data, 0xAB, b->bytes);
-    EXPECT_EQ(std::to_integer<int>(b->data[1023]), 0xAB);
-    p.release(*b);
-}
 
 TEST(SgList, UnlimitedDescriptorIsASingleEntry) {
     sg_list sg(0);

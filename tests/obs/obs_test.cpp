@@ -51,39 +51,48 @@ TEST(FlightRing, RecordsUntilCapacityThenDrops) {
     flight_ring ring(4);
     EXPECT_EQ(ring.capacity(), 4u);
     for (std::uint64_t t = 1; t <= 6; ++t) {
-        ring.note(stage::post, t, std::uint16_t(t), 0, 0);
+        ring.note(lifecycle(stage::post, 1, t, std::uint16_t(t), 0, t * 100));
     }
     EXPECT_EQ(ring.pushed(), 6u);
     EXPECT_EQ(ring.dropped(), 2u);
     const auto snap = ring.snapshot();
     ASSERT_EQ(snap.size(), 4u);
     // Oldest first; the two earliest events were overwritten.
-    EXPECT_EQ(snap.front().ticket, 3u);
-    EXPECT_EQ(snap.back().ticket, 6u);
+    EXPECT_EQ(snap.front().value, 3u);
+    EXPECT_EQ(snap.back().value, 6u);
     for (std::size_t i = 1; i < snap.size(); ++i) {
-        EXPECT_LT(snap[i - 1].seq, snap[i].seq);
+        EXPECT_LT(snap[i - 1].ts_ns, snap[i].ts_ns);
     }
+    // The snapshot is the lifecycle form a trace lane carries.
+    EXPECT_EQ(snap.front().type, trace::event_type::lifecycle);
+    EXPECT_STREQ(snap.front().name, "post");
+    EXPECT_EQ(snap.front().ref, pack_ref(1, 3, 0, stage::post));
+    EXPECT_EQ(snap.front().ts_ns, 300u);
 }
 
 TEST(FlightRing, WrapAroundUnderConcurrentEmitters) {
-    // Several emitters (runtime, backend, gateway) may note into one target's
-    // ring concurrently. The ring must never tear a record: every snapshot
-    // entry is either skipped or fully consistent, and the per-event sequence
-    // numbers stay unique and within the live window.
+    // Several threads may note into one target's ring concurrently. The ring
+    // must never tear a record: every snapshot entry is either skipped or
+    // fully consistent, each note appears at most once, and the snapshot is
+    // oldest-first.
     constexpr int threads = 4;
     constexpr int per_thread = 500;
     constexpr std::uint32_t cap = 64;
+    constexpr std::uint64_t mask = 0x5A5A5A5Au;
     flight_ring ring(cap);
     std::vector<std::thread> emitters;
     emitters.reserve(threads);
     for (int t = 0; t < threads; ++t) {
         emitters.emplace_back([&ring, t] {
             for (int i = 0; i < per_thread; ++i) {
-                // Encode the writer in slot and the iteration in ticket so a
-                // torn record would show as a mismatched pair.
-                ring.note(stage::sent, std::uint64_t(i),
-                          std::uint16_t(t), std::uint8_t(t),
-                          std::uint32_t(i) ^ 0x5A5A5A5Au);
+                // Tag every word with the writer and the iteration (ticket:
+                // both; node and epoch: writer; slot: iteration; timestamp:
+                // the ticket scrambled) so a torn record shows as a mismatch.
+                const std::uint64_t tag =
+                    (std::uint64_t(t) << 32) | std::uint64_t(i);
+                ring.note(lifecycle(stage::sent, std::uint16_t(t), tag,
+                                    std::uint16_t(i), std::uint8_t(t),
+                                    tag ^ mask));
             }
         });
     }
@@ -96,20 +105,21 @@ TEST(FlightRing, WrapAroundUnderConcurrentEmitters) {
     const auto snap = ring.snapshot();
     EXPECT_LE(snap.size(), std::size_t(cap));
     EXPECT_FALSE(snap.empty());
-    std::set<std::uint64_t> seqs;
-    for (const flight_ring::record& r : snap) {
-        EXPECT_TRUE(seqs.insert(r.seq).second) << "duplicate seq " << r.seq;
-        EXPECT_GE(r.seq, ring.pushed() - cap + 1);
-        EXPECT_LE(r.seq, ring.pushed());
-        EXPECT_EQ(r.st, stage::sent);
-        EXPECT_LT(r.slot, threads);
-        EXPECT_EQ(r.epoch, std::uint8_t(r.slot)); // writer tag must match
-        EXPECT_EQ(r.info, std::uint32_t(r.ticket) ^ 0x5A5A5A5Au)
-            << "torn record: ticket/info written by different notes";
-    }
-    // Snapshot is oldest-first.
-    for (std::size_t i = 1; i < snap.size(); ++i) {
-        EXPECT_LT(snap[i - 1].seq, snap[i].seq);
+    std::set<std::uint64_t> tags;
+    std::vector<std::int64_t> last(threads, -1);
+    for (const trace::event& e : snap) {
+        const std::uint64_t writer = e.value >> 32;
+        const auto iteration = static_cast<std::int64_t>(e.value & 0xFFFFFFFFu);
+        ASSERT_LT(writer, std::uint64_t(threads));
+        EXPECT_TRUE(tags.insert(e.value).second) << "duplicate " << e.value;
+        EXPECT_EQ(ref_stage(e.ref), stage::sent);
+        EXPECT_EQ(ref_node(e.ref), writer) << "torn record: ref/ticket";
+        EXPECT_EQ(ref_epoch(e.ref), writer) << "torn record: ref/ticket";
+        EXPECT_EQ(ref_slot(e.ref), iteration) << "torn record: ref/ticket";
+        EXPECT_EQ(e.ts_ns, e.value ^ mask) << "torn record: ts/ticket";
+        // Oldest first: each writer's notes keep the order it made them.
+        EXPECT_GT(iteration, last[writer]);
+        last[writer] = iteration;
     }
 }
 
@@ -119,7 +129,7 @@ TEST(FlightRegistry, RingsAreSharedAndEnumerable) {
     flight_ring& b = flight_registry::ring_for(11);
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(flight_registry::find(12), nullptr);
-    flight_registry::ring_for(12).note(stage::post, 1, 0, 0);
+    flight_registry::ring_for(12).note(lifecycle(stage::post, 12, 1, 0, 0, 0));
     const auto nodes = flight_registry::nodes();
     ASSERT_EQ(nodes.size(), 2u);
     EXPECT_EQ(nodes[0], 11);
@@ -131,32 +141,27 @@ TEST(FlightRegistry, RingsAreSharedAndEnumerable) {
 TEST(Postmortem, JsonCarriesPartialRequestTimelines) {
     flight_registry::reset();
     flight_ring& ring = flight_registry::ring_for(2);
-    ring.note(stage::post, 7, 3, 1, 16);
-    ring.note(stage::sent, 0, 3, 1, 16);
-    ring.note(stage::failed, 7, 3, 1, 0);
+    ring.note(lifecycle(stage::post, 2, 7, 3, 1, 100));
+    ring.note(lifecycle(stage::sent, 2, 7, 3, 1, 200));
+    ring.note(lifecycle(stage::failed, 2, 7, 3, 1, 900));
     const std::string json = postmortem_json(2, "target_failed", 1, "ve died");
-    EXPECT_NE(json.find("\"node\":2"), std::string::npos);
-    EXPECT_NE(json.find("\"kind\":\"target_failed\""), std::string::npos);
-    EXPECT_NE(json.find("\"reason\":\"ve died\""), std::string::npos);
+    EXPECT_EQ(json.rfind("{\"node\":2,\"kind\":\"target_failed\",\"epoch\":1,"
+                         "\"reason\":\"ve died\",\"recorded\":3,",
+                         0),
+              0u)
+        << json;
+    // The rest is timelines_json of the ring reassembled as one lane.
+    trace::collector::lane_snapshot lane;
+    lane.events = ring.snapshot();
+    const std::string body = timelines_json(reassemble({lane}));
+    EXPECT_EQ(json.substr(json.find("\"timelines\"")), body.substr(1)) << json;
     EXPECT_NE(json.find("\"ticket\":7"), std::string::npos);
+    EXPECT_NE(json.find("\"failed\":true"), std::string::npos);
     EXPECT_NE(json.find("\"stage\":\"failed\""), std::string::npos);
     flight_registry::reset();
 }
 
 // --- timeline reassembly -----------------------------------------------------
-
-trace::event lifecycle(stage s, std::uint16_t node, std::uint64_t ticket,
-                       std::uint16_t slot, std::uint8_t epoch,
-                       std::uint64_t ts) {
-    trace::event e;
-    e.cat = "obs";
-    e.name = to_string(s);
-    e.ts_ns = ts;
-    e.value = ticket;
-    e.ref = pack_ref(node, slot, epoch, s);
-    e.type = trace::event_type::lifecycle;
-    return e;
-}
 
 trace::collector::lane_snapshot lane_of(std::vector<trace::event> events,
                                         std::uint64_t dropped = 0) {

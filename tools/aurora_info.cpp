@@ -285,18 +285,6 @@ int mem_dump() {
         }
         std::printf("%s\n", t.str().c_str());
     }
-    {
-        text_table t({"staging pool", "chunks", "chunk size", "acquires",
-                      "exhausted", "in use"});
-        for (const auto& p : snap.pools) {
-            t.add_row({p.label, std::to_string(p.stats.chunks),
-                       format_bytes(p.stats.chunk_bytes),
-                       std::to_string(p.stats.acquires),
-                       std::to_string(p.stats.exhausted),
-                       std::to_string(p.stats.in_use)});
-        }
-        std::printf("%s\n", t.str().c_str());
-    }
 
     // After teardown the registry is empty, but the per-arena gauges persist:
     // any residual bytes_in_use is memory the runtime failed to settle.

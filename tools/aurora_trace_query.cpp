@@ -1,9 +1,10 @@
 // aurora_trace_query — offline analyzer for aurora::obs request timelines.
 //
 // Input is the JSON document written by HAM_AURORA_OBS_FILE (see
-// src/obs/timeline.cpp): per-request lifecycle timelines with critical-path
-// stage attribution. The tool answers the questions a postmortem or a perf
-// investigation actually asks:
+// src/obs/timeline.cpp) or a flight-recorder postmortem, which has the same
+// form (src/obs/flight.hpp): per-request lifecycle timelines with
+// critical-path stage attribution. The tool answers the questions a
+// postmortem or a perf investigation actually asks:
 //
 //   aurora_trace_query timelines.json                  # summary + stage table
 //   aurora_trace_query timelines.json --timelines      # one line per request
